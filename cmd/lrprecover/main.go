@@ -79,7 +79,7 @@ func main() {
 		os.Exit(1)
 	}
 	var got []int
-	for key := range rec.Members {
+	for key := range rec.Members { // maprange:ok — collected, then sorted
 		got = append(got, int(key))
 	}
 	sort.Ints(got)

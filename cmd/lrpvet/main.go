@@ -12,18 +12,19 @@
 // The annotation goes on the range line or the line above it. Any map
 // range without one fails the check (CI runs `go run ./cmd/lrpvet`).
 //
-// Detection is per-file AST analysis without full type checking: a range
-// is flagged when its operand's name is declared as a map anywhere in
-// the same file (var/field/param declarations, make(map[...]), or map
-// composite literals). That covers the realistic regression — reading a
-// struct's own map field — without external tooling.
+// Detection is type-aware: each package's non-test files are
+// type-checked with go/types (imports resolved from source), and a range
+// is flagged when its operand's underlying type is a map — whichever
+// file, package or module declared it.
 package main
 
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -37,28 +38,7 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var bad []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "testdata" || name == "vendor" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		sites, err := checkFile(path)
-		if err != nil {
-			return err
-		}
-		bad = append(bad, sites...)
-		return nil
-	})
+	bad, err := vet(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lrpvet: %v\n", err)
 		os.Exit(2)
@@ -72,119 +52,83 @@ func main() {
 	}
 }
 
-func checkFile(path string) ([]string, error) {
+// vet type-checks every package directory under root (skipping .git,
+// testdata and vendor trees, and _test.go files) and returns one finding
+// per unannotated map range.
+func vet(root string) ([]string, error) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
+	imp := importer.ForCompiler(fset, "source", nil)
+	var bad []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); name == ".git" || name == "testdata" || name == "vendor" {
+			return filepath.SkipDir
+		}
+		matches, err := filepath.Glob(filepath.Join(path, "*.go"))
+		if err != nil {
+			return err
+		}
+		var srcs []string
+		for _, m := range matches {
+			if !strings.HasSuffix(m, "_test.go") {
+				srcs = append(srcs, m)
+			}
+		}
+		if len(srcs) == 0 {
+			return nil
+		}
+		sites, err := checkPackage(fset, imp, srcs)
+		bad = append(bad, sites...)
+		return err
+	})
+	return bad, err
+}
+
+// checkPackage type-checks one directory's files as a package and
+// reports its unannotated ranges over map-typed operands.
+func checkPackage(fset *token.FileSet, imp types.Importer, paths []string) ([]string, error) {
+	var files []*ast.File
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	conf := types.Config{Importer: imp}
+	if _, err := conf.Check(files[0].Name.Name, fset, files, info); err != nil {
 		return nil, err
 	}
-
-	// Pass 1: every name this file declares with a map type.
-	mapNames := map[string]bool{}
-	noteField := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fd := range fl.List {
-			if isMapType(fd.Type) {
-				for _, n := range fd.Names {
-					mapNames[n.Name] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.StructType:
-			noteField(n.Fields)
-		case *ast.FuncType:
-			noteField(n.Params)
-			noteField(n.Results)
-		case *ast.ValueSpec:
-			if isMapType(n.Type) {
-				for _, name := range n.Names {
-					mapNames[name.Name] = true
-				}
-			}
-			for i, v := range n.Values {
-				if i < len(n.Names) && isMapExpr(v) {
-					mapNames[n.Names[i].Name] = true
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i < len(n.Lhs) && isMapExpr(rhs) {
-					if id, ok := n.Lhs[i].(*ast.Ident); ok {
-						mapNames[id.Name] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	if len(mapNames) == 0 {
-		return nil, nil
-	}
-
-	// Lines carrying an annotation (trailing or on their own).
-	annotated := map[int]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, marker) {
-				annotated[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-
 	var bad []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
+	for _, f := range files {
+		// Lines carrying an annotation (trailing or on their own).
+		annotated := map[int]bool{}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.Contains(c.Text, marker) {
+					annotated[fset.Position(c.Pos()).Line] = true
+				}
+			}
 		}
-		name := operandName(rs.X)
-		if name == "" || !mapNames[name] {
+		ast.Inspect(f, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
+				return true
+			}
+			pos := fset.Position(rs.Pos())
+			if annotated[pos.Line] || annotated[pos.Line-1] {
+				return true
+			}
+			bad = append(bad, fmt.Sprintf("%s:%d: range over map %s without a %s annotation",
+				pos.Filename, pos.Line, types.ExprString(rs.X), marker))
 			return true
-		}
-		line := fset.Position(rs.Pos()).Line
-		if annotated[line] || annotated[line-1] {
-			return true
-		}
-		bad = append(bad, fmt.Sprintf("%s:%d: range over map %q without a %s annotation", path, line, name, marker))
-		return true
-	})
+		})
+	}
 	return bad, nil
-}
-
-// operandName returns the rightmost identifier of a range operand:
-// `m` for `range m`, `field` for `range s.field`.
-func operandName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	case *ast.ParenExpr:
-		return operandName(e.X)
-	}
-	return ""
-}
-
-func isMapType(e ast.Expr) bool {
-	_, ok := e.(*ast.MapType)
-	return ok
-}
-
-// isMapExpr reports whether an expression evidently builds a map:
-// make(map[...]...) or a map composite literal.
-func isMapExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && len(e.Args) > 0 {
-			return isMapType(e.Args[0])
-		}
-	case *ast.CompositeLit:
-		return isMapType(e.Type)
-	}
-	return false
 }

@@ -22,7 +22,7 @@ import (
 // Structure implements workload.Recoverable.
 func (s *Store) Structure() string { return "kv" }
 
-// Recover implements workload.Recoverable: the hardened walk.
+// Recover implements workload.Recoverable: the recovery walk.
 // Members maps globalKey → valId for every live, validated key.
 func (s *Store) Recover(img *mm.Memory) *recovery.Report {
 	rep := &recovery.Report{Structure: "kv", Set: &recovery.SetState{Members: map[uint64]uint64{}}}
@@ -31,22 +31,6 @@ func (s *Store) Recover(img *mm.Memory) *recovery.Report {
 	}
 	return rep
 }
-
-// RecoverStrict implements workload.Recoverable: nil iff the hardened
-// walk recovered everything with nothing quarantined or abandoned.
-func (s *Store) RecoverStrict(img *mm.Memory) error {
-	return s.Recover(img).Err()
-}
-
-const (
-	ptrMask = ^uint64(3)
-	markBit = 1
-)
-
-// maxWalkSteps bounds every chain walk so a corrupted image with a
-// pointer cycle terminates instead of looping (recovery.maxSteps's
-// counterpart, package-local because that bound is unexported).
-var maxWalkSteps = 1 << 22
 
 func (s *Store) recoverShard(img *mm.Memory, rep *recovery.Report, tenant int) {
 	sh := &s.shards[tenant]
@@ -58,26 +42,16 @@ func (s *Store) recoverShard(img *mm.Memory, rep *recovery.Report, tenant int) {
 	s.recoverOrdered(img, rep, tenant, sh.ord.Head())
 }
 
-// recoverBucket walks one bucket chain in the reportChain idiom:
-// convention violations quarantine the node and the walk continues
-// through its next pointer; an unfollowable pointer truncates the
-// chain and counts it abandoned.
+// recoverBucket walks one bucket chain the way recovery walks a hash
+// bucket: convention violations quarantine the node and the walk
+// continues through its next pointer; Follow truncates the chain at a
+// pointer it cannot follow.
 func (s *Store) recoverBucket(img *mm.Memory, rep *recovery.Report, tenant int, bucket uint64, headCell isa.Addr, bucketOf func(uint64) uint64) {
 	prev := uint64(0)
 	ptr := img.Read(headCell)
 	for steps := 0; ; steps++ {
-		if steps > maxWalkSteps {
-			quarantine(rep, headCell, "walk exceeded step bound (cycle?)")
-			rep.Abandoned++
-			return
-		}
-		node := isa.Addr(ptr & ptrMask)
+		node := rep.Follow(ptr, steps, headCell, "")
 		if node == 0 {
-			return
-		}
-		if !node.Aligned() {
-			quarantine(rep, node, "misaligned node pointer")
-			rep.Abandoned++
 			return
 		}
 		key := img.Read(node + 0)
@@ -85,17 +59,17 @@ func (s *Store) recoverBucket(img *mm.Memory, rep *recovery.Report, tenant int, 
 		next := img.Read(node + 16)
 		switch {
 		case key == 0:
-			quarantine(rep, node, "reachable node with uninitialized key")
-		case next&markBit != 0:
+			rep.Quarantine(node, "reachable node with uninitialized key")
+		case recovery.Marked(next):
 			// kv nodes are never logically deleted; a marked link is a
 			// persist tear of the next word.
-			quarantine(rep, node, "marked link in a kv index chain")
+			rep.Quarantine(node, "marked link in a kv index chain")
 		case tenantOf(key) != tenant:
-			quarantine(rep, node, fmt.Sprintf("key of tenant %d found in tenant %d's index", tenantOf(key), tenant))
+			rep.Quarantine(node, fmt.Sprintf("key of tenant %d found in tenant %d's index", tenantOf(key), tenant))
 		case bucketOf(key) != bucket:
-			quarantine(rep, node, fmt.Sprintf("key %d found in bucket %d, hashes to %d", key, bucket, bucketOf(key)))
+			rep.Quarantine(node, fmt.Sprintf("key %d found in bucket %d, hashes to %d", key, bucket, bucketOf(key)))
 		case key <= prev:
-			quarantine(rep, node, fmt.Sprintf("key order violated: %d after %d", key, prev))
+			rep.Quarantine(node, fmt.Sprintf("key order violated: %d after %d", key, prev))
 		default:
 			prev = key
 			rep.Set.Nodes++
@@ -103,12 +77,12 @@ func (s *Store) recoverBucket(img *mm.Memory, rep *recovery.Report, tenant int, 
 			case val == Tombstone:
 				// Deleted key: the node is healthy, the key is absent.
 			case val == 0:
-				quarantine(rep, node, fmt.Sprintf("key %d reachable with an uninitialized value cell", key))
+				rep.Quarantine(node, fmt.Sprintf("key %d reachable with an uninitialized value cell", key))
 			default:
 				if id, reason := s.checkRecord(img, key, val); reason == "" {
 					rep.Set.Members[key] = id
 				} else {
-					quarantine(rep, node, fmt.Sprintf("key %d: torn value: %s", key, reason))
+					rep.Quarantine(node, fmt.Sprintf("key %d: torn value: %s", key, reason))
 				}
 			}
 		}
@@ -150,18 +124,8 @@ func (s *Store) recoverOrdered(img *mm.Memory, rep *recovery.Report, tenant int,
 	prev := uint64(0)
 	ptr := img.Read(head) // level-0 cell
 	for steps := 0; ; steps++ {
-		if steps > maxWalkSteps {
-			quarantine(rep, head, "ordered-index walk exceeded step bound (cycle?)")
-			rep.Abandoned++
-			return
-		}
-		node := isa.Addr(ptr & ptrMask)
+		node := rep.Follow(ptr, steps, head, "ordered-index ")
 		if node == 0 {
-			return
-		}
-		if !node.Aligned() {
-			quarantine(rep, node, "misaligned ordered-index node pointer")
-			rep.Abandoned++
 			return
 		}
 		key := img.Read(node + 0)
@@ -170,24 +134,18 @@ func (s *Store) recoverOrdered(img *mm.Memory, rep *recovery.Report, tenant int,
 		next := img.Read(node + 24)
 		switch {
 		case key == 0:
-			quarantine(rep, node, "reachable ordered-index node with uninitialized key")
+			rep.Quarantine(node, "reachable ordered-index node with uninitialized key")
 		case val != recovery.DefaultVal(key):
-			quarantine(rep, node, fmt.Sprintf("ordered-index value %d fails integrity convention for key %d", val, key))
+			rep.Quarantine(node, fmt.Sprintf("ordered-index value %d fails integrity convention for key %d", val, key))
 		case height == 0:
-			quarantine(rep, node, "ordered-index node height 0")
+			rep.Quarantine(node, "ordered-index node height 0")
 		case tenantOf(key) != tenant:
-			quarantine(rep, node, fmt.Sprintf("ordered-index key of tenant %d in tenant %d's index", tenantOf(key), tenant))
+			rep.Quarantine(node, fmt.Sprintf("ordered-index key of tenant %d in tenant %d's index", tenantOf(key), tenant))
 		case key <= prev:
-			quarantine(rep, node, fmt.Sprintf("ordered-index order violated: %d after %d", key, prev))
+			rep.Quarantine(node, fmt.Sprintf("ordered-index order violated: %d after %d", key, prev))
 		default:
 			prev = key
 		}
 		ptr = next
 	}
-}
-
-func quarantine(rep *recovery.Report, node isa.Addr, reason string) {
-	rep.Quarantined = append(rep.Quarantined, recovery.Corruption{
-		Structure: rep.Structure, Node: node, Reason: reason,
-	})
 }

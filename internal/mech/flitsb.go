@@ -69,7 +69,6 @@ func (m *flitMech) flushTracked(tid int, now engine.Time, critical bool) engine.
 		}
 		done := sv.PersistL1Line(tid, l, now, now, critical)
 		pending.Add(done)
-		sv.BlockLine(a, done)
 		if done > horizon {
 			horizon = done
 		}

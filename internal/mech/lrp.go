@@ -70,16 +70,17 @@ func (m *lrpMech) persistReleased(tid int, l *cache.Line, now engine.Time, criti
 	pending.DrainUpTo(now)
 	horizon := pending.MaxTime(now)
 	for _, w := range m.sched.Writes {
-		addr := w.Addr
 		done := sv.PersistL1Line(tid, lines[w.Slot], now, now, critical)
 		pending.Add(done)
-		sv.BlockLine(addr, done) // directory holds the line until the ack (I4)
 		if done > horizon {
 			horizon = done
 		}
 	}
 	// Released lines persist only after the counter drains, in epoch
-	// order, each waiting for the previous ack.
+	// order, each waiting for the previous ack. The persist path holds
+	// each line at the directory until its ack (I4): a released line's
+	// value must not become readable before it is durable, or a consumer
+	// could out-persist it.
 	t := horizon
 	for _, r := range m.sched.Releases {
 		cl := l // the trigger itself (Slot -1) is appended last
@@ -87,13 +88,8 @@ func (m *lrpMech) persistReleased(tid int, l *cache.Line, now engine.Time, criti
 			cl = lines[r.Slot]
 		}
 		sv.RET(tid).RemoveAt(cl.Addr, now)
-		addr := cl.Addr
 		t = sv.PersistL1Line(tid, cl, now, t, critical)
 		pending.Add(t)
-		// The directory holds the line until the ack: a released line's
-		// value must not become readable (through S copies or the LLC)
-		// before it is durable, or a consumer could out-persist it.
-		sv.BlockLine(addr, t)
 	}
 	return t
 }
@@ -194,7 +190,6 @@ func (m *lrpMech) OnEvict(tid int, l *cache.Line, now engine.Time) engine.Time {
 	if l.NeedsPersist() {
 		done := sv.PersistL1Line(tid, l, now, now, false)
 		sv.Pending(tid).Add(done)
-		sv.BlockLine(l.Addr, done)
 	} else if f := engine.Time(l.FlushedUntil); f > now {
 		// Persist still in flight: the directory holds the line until
 		// the ack (PutM transient state, §5.2.3).
@@ -217,7 +212,6 @@ func (m *lrpMech) OnDowngrade(ownerTid, reqTid int, l *cache.Line, now engine.Ti
 		// blocks later requests until the ack (I4).
 		done := sv.PersistL1Line(ownerTid, l, now, now, false)
 		sv.Pending(ownerTid).Add(done)
-		sv.BlockLine(l.Addr, done)
 		return now
 	}
 	if f := engine.Time(l.FlushedUntil); f > now {

@@ -126,7 +126,9 @@ type SystemView interface {
 	ScanDirty(tid int) []*cache.Line
 
 	// PersistL1Line issues the persist of an L1 line's current content
-	// on behalf of tid (ack-time semantics in memsys.persistL1Line).
+	// on behalf of tid (ack-time semantics in memsys.persistLine). Every
+	// persist holds its line at the directory until its own ack (I4);
+	// BlockLine is for other times.
 	PersistL1Line(tid int, l *cache.Line, now, earliest engine.Time, critical bool) engine.Time
 	// PersistAddr persists the current content of an arbitrary line
 	// address with optional stamps (ARP buffer drains).
@@ -135,7 +137,8 @@ type SystemView interface {
 	// only-written lines first in parallel, then released lines in
 	// epoch order; returns the final ack.
 	FlushAllDirty(tid int, now engine.Time, critical bool) engine.Time
-	// BlockLine holds directory requests to a line until t (I4).
+	// BlockLine holds directory requests to a line until t (I4): an
+	// earlier persist's ack, or a chained ack later than the line's own.
 	BlockLine(line isa.Addr, t engine.Time)
 	// DropLastStamp removes a line's most recently appended happens-
 	// before stamp from the system's stamp arena (eADR consumes the

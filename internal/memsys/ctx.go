@@ -194,11 +194,11 @@ func (s *System) Drain() engine.Time {
 			line := isa.Addr(k)
 			list := *s.llcStamps.Ptr(k)
 			s.llcStamps.Delete(k)
-			s.persistAddrList(-1, line, &list, now, now, false)
+			s.persistLLCLine(line, &list, now)
 			s.llc.MarkClean(line)
 		}
 		for _, line := range s.llc.DirtyLines() {
-			s.persistAddr(-1, line, nil, now, now, false)
+			s.persistLine(-1, line, now, now, false)
 			s.llc.MarkClean(line)
 		}
 	}

@@ -43,7 +43,13 @@ func (v *sysView) PersistL1Line(tid int, l *cache.Line, now, earliest engine.Tim
 }
 
 func (v *sysView) PersistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, earliest engine.Time, critical bool) engine.Time {
-	return v.sys().persistAddr(tid, addr, stamps, now, earliest, critical)
+	done := v.sys().persistLine(tid, addr, now, earliest, critical)
+	if v.tracker != nil {
+		for _, st := range stamps {
+			v.tracker.SetPersisted(st, done)
+		}
+	}
+	return done
 }
 
 func (v *sysView) FlushAllDirty(tid int, now engine.Time, critical bool) engine.Time {
@@ -146,10 +152,8 @@ func (s *System) flushAllDirty(tid int, now engine.Time, critical bool) engine.T
 			released = append(released, l)
 			continue
 		}
-		addr := l.Addr
 		done := s.persistL1Line(tid, l, now, now, critical)
 		th.pending.Add(done)
-		s.blockLine(addr, done)
 		if done > horizon {
 			horizon = done
 		}
@@ -166,10 +170,8 @@ func (s *System) flushAllDirty(tid int, now engine.Time, critical bool) engine.T
 	t := horizon
 	for _, l := range released {
 		th.ret.RemoveAt(l.Addr, now)
-		addr := l.Addr
 		t = s.persistL1Line(tid, l, now, t, critical)
 		th.pending.Add(t)
-		s.blockLine(addr, t)
 	}
 	s.relScratch[tid] = released[:0]
 	return t

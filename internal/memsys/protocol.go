@@ -315,7 +315,7 @@ func (s *System) llcFillClean(line isa.Addr, t engine.Time) {
 	if dirty && s.mech.LLCEvictPersists() {
 		// Dirty LLC data reaches NVM when evicted (off the critical
 		// path of any core).
-		s.persistAddrList(-1, ev, &stamps, t, t, false)
+		s.persistLLCLine(ev, &stamps, t)
 	} else {
 		s.stamps.Free(&stamps)
 	}

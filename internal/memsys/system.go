@@ -348,38 +348,31 @@ func (s *System) netLat(core, bank int) engine.Time {
 
 // --- persist plumbing ------------------------------------------------------
 
-// persistL1Line issues the persist of an L1 line's current content on
-// behalf of thread tid: the command reaches a controller at wall time
-// now, may not start before earliest (epoch-ordering hold), hands its
-// stamps to the persist log, clears the line's persistency metadata, and
-// returns the ack time. critical classifies the persist for the Figure 6
-// accounting.
-func (s *System) persistL1Line(tid int, l *cache.Line, now, earliest engine.Time, critical bool) engine.Time {
-	words := s.mem.ReadLine(l.Addr)
+// persistLine is the machine's one persist path: it issues the persist
+// of line's current content on behalf of thread tid (-1: no specific
+// core, e.g. an LLC eviction) and returns the ack time. The command
+// reaches a controller at wall time now and may not start before
+// earliest (epoch-ordering hold); critical classifies it for the Figure 6
+// accounting. Callers mark their own stamps persisted at the ack.
+func (s *System) persistLine(tid int, line isa.Addr, now, earliest engine.Time, critical bool) engine.Time {
+	words := s.mem.ReadLine(line)
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseNVM)
 	}
-	done := s.nvm.PersistLine(now, earliest, l.Addr, words)
+	done := s.nvm.PersistLine(now, earliest, line, words)
 	if s.perf != nil {
 		s.perf.End()
 	}
-	if s.tracker != nil {
-		l.ForEachStamp(s.stamps, func(st model.Stamp) {
-			s.tracker.SetPersisted(st, done)
-		})
-	}
 	if s.obs != nil {
-		s.obs.PersistIssued(tid, uint64(l.Addr), now, done, critical)
+		s.obs.PersistIssued(tid, uint64(line), now, done, critical)
 	}
-	l.ClearPersistMeta(s.stamps)
-	l.FlushedUntil = int64(done)
 	// Invariant I4 is structural: any line with a persist in flight is
 	// held at the directory until the ack, whatever path issued it. The
 	// per-mechanism blockLine calls tighten this with chained (epoch-
 	// ordered) acks; without it, an eviction persist whose ack is delayed
 	// (fault retry/backoff) would let another core read — and re-persist
 	// behind — data that is not yet durable.
-	s.blockLine(l.Addr, done)
+	s.blockLine(line, done)
 	s.stats.Persists++
 	if critical {
 		s.stats.CriticalPersists++
@@ -387,61 +380,32 @@ func (s *System) persistL1Line(tid int, l *cache.Line, now, earliest engine.Time
 	return done
 }
 
-// persistAddr persists the current content of an arbitrary line address
-// (LLC eviction under NOP, ARP buffer drains) with optional stamps, on
-// behalf of thread tid (-1: no specific core, e.g. an LLC eviction).
-func (s *System) persistAddr(tid int, addr isa.Addr, stamps []model.Stamp, now, earliest engine.Time, critical bool) engine.Time {
-	words := s.mem.ReadLine(addr)
-	if s.perf != nil {
-		s.perf.Start(perf.PhaseNVM)
-	}
-	done := s.nvm.PersistLine(now, earliest, addr, words)
-	if s.perf != nil {
-		s.perf.End()
-	}
+// persistL1Line persists an L1 line's current content (see persistLine),
+// hands its stamps to the persist log and clears its persistency
+// metadata.
+func (s *System) persistL1Line(tid int, l *cache.Line, now, earliest engine.Time, critical bool) engine.Time {
+	done := s.persistLine(tid, l.Addr, now, earliest, critical)
 	if s.tracker != nil {
-		for _, st := range stamps {
+		l.ForEachStamp(s.stamps, func(st model.Stamp) {
 			s.tracker.SetPersisted(st, done)
-		}
+		})
 	}
-	if s.obs != nil {
-		s.obs.PersistIssued(tid, uint64(addr), now, done, critical)
-	}
-	s.blockLine(addr, done)
-	s.stats.Persists++
-	if critical {
-		s.stats.CriticalPersists++
-	}
+	l.ClearPersistMeta(s.stamps)
+	l.FlushedUntil = int64(done)
 	return done
 }
 
-// persistAddrList is persistAddr for an arena-backed stamp chain (LLC
-// evictions and drains under NOP): it marks each stamp persisted and
-// returns the chain to the arena.
-func (s *System) persistAddrList(tid int, addr isa.Addr, list *persist.StampList, now, earliest engine.Time, critical bool) engine.Time {
-	words := s.mem.ReadLine(addr)
-	if s.perf != nil {
-		s.perf.Start(perf.PhaseNVM)
-	}
-	done := s.nvm.PersistLine(now, earliest, addr, words)
-	if s.perf != nil {
-		s.perf.End()
-	}
+// persistLLCLine persists a dirty LLC line at time t, off every core's
+// critical path (NOP's LLC evictions and drains), marking its arena-
+// backed stamp chain persisted and returning the chain to the arena.
+func (s *System) persistLLCLine(line isa.Addr, list *persist.StampList, t engine.Time) {
+	done := s.persistLine(-1, line, t, t, false)
 	if s.tracker != nil {
 		s.stamps.ForEach(*list, func(st model.Stamp) {
 			s.tracker.SetPersisted(st, done)
 		})
 	}
 	s.stamps.Free(list)
-	if s.obs != nil {
-		s.obs.PersistIssued(tid, uint64(addr), now, done, critical)
-	}
-	s.blockLine(addr, done)
-	s.stats.Persists++
-	if critical {
-		s.stats.CriticalPersists++
-	}
-	return done
 }
 
 // blockLine records that the directory must hold requests to line until

@@ -7,11 +7,8 @@ import (
 	"lrp/internal/mm"
 )
 
-// Report is the outcome of a hardened recovery walk. Where the strict
-// Walk* functions abort on the first structural violation, the Report*
-// variants quarantine the offending node and recover everything else they
-// can reach — what a production recovery procedure must do when the image
-// was left by a faulty NVM rather than an idealized one.
+// Report is the outcome of a recovery walk: what was recoverable, plus
+// the nodes the walk quarantined instead of aborting on.
 type Report struct {
 	// Structure names the walked structure.
 	Structure string
@@ -60,122 +57,131 @@ func (r *Report) String() string {
 		r.Structure, n, len(r.Quarantined), r.Abandoned)
 }
 
-func (r *Report) quarantine(node isa.Addr, reason string) {
+// Quarantine excludes node from the recovered contents for reason.
+func (r *Report) Quarantine(node isa.Addr, reason string) {
 	r.Quarantined = append(r.Quarantined, Corruption{r.Structure, node, reason})
 }
 
-// reportChain walks one sorted chain, quarantining instead of aborting.
-// A node that fails the key/value convention (torn initialization) is
-// excluded but the walk continues through its next pointer — junk targets
-// are caught by the alignment and step-bound guards. A pointer that
-// cannot be followed (misaligned, cycle) truncates the chain.
-func reportChain(img *mm.Memory, rep *Report, headCell isa.Addr, lower uint64) *SetState {
-	st := &SetState{Members: map[uint64]uint64{}}
-	prev := lower
-	ptr := img.Read(headCell)
+// truncate quarantines node and abandons the walk there: an unknown
+// suffix of the structure beyond it is lost.
+func (r *Report) truncate(node isa.Addr, reason string) {
+	r.Quarantine(node, reason)
+	r.Abandoned++
+}
+
+// Follow guards one step of a chain walk from cell that has already
+// followed steps links: it returns the node link points at, or 0 when
+// the walk ends — at a nil link, or truncated at a link it cannot follow
+// (misaligned, or any link past the step bound, which ends pointer
+// cycles). what prefixes "walk" and "node" in the truncation reasons to
+// name the chain ("" for a structure's own chain).
+func (r *Report) Follow(link uint64, steps int, cell isa.Addr, what string) isa.Addr {
+	node := isa.Addr(clean(link))
+	if steps > maxSteps {
+		r.truncate(cell, what+"walk exceeded step bound (cycle?)")
+		return 0
+	}
+	if !node.Aligned() {
+		// clean strips only the mark/flag bits; a garbage pointer with
+		// bit 2 set would fault the word-addressed image reads.
+		r.truncate(node, "misaligned "+what+"node pointer")
+		return 0
+	}
+	return node
+}
+
+// reportChain walks one sorted [key, val, next] chain into rep.Set. A
+// node that fails the key/value convention (torn initialization) or the
+// order is quarantined and the walk continues through its next pointer;
+// junk targets are caught by Follow. When bucketOf is non-nil the chain
+// is hash bucket b, and a live key hashing elsewhere is quarantined
+// against the bucket's cell (its node still counts and still orders).
+func reportChain(img *mm.Memory, rep *Report, cell isa.Addr, b uint64, bucketOf func(uint64) uint64) {
+	prev := uint64(0)
+	ptr := img.Read(cell)
 	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			rep.quarantine(headCell, "walk exceeded step bound (cycle?)")
-			rep.Abandoned++
-			return st
-		}
-		node := isa.Addr(clean(ptr))
+		node := rep.Follow(ptr, steps, cell, "")
 		if node == 0 {
-			return st
-		}
-		if !node.Aligned() {
-			rep.quarantine(node, "misaligned node pointer")
-			rep.Abandoned++
-			return st
+			return
 		}
 		key := img.Read(node + 0)
 		val := img.Read(node + 8)
 		next := img.Read(node + 16)
-		switch {
-		case checkNode(rep.Structure, node, key, val) != nil:
-			rep.quarantine(node, corruptReason(rep.Structure, node, key, val))
-		case key <= prev:
-			rep.quarantine(node, fmt.Sprintf("key order violated: %d after %d", key, prev))
-		default:
+		if reason := checkNode(key, val); reason != "" {
+			rep.Quarantine(node, reason)
+		} else if key <= prev {
+			rep.Quarantine(node, fmt.Sprintf("key order violated: %d after %d", key, prev))
+		} else {
 			prev = key
-			st.Nodes++
-			if next&markBit == 0 {
-				st.Members[key] = val
+			rep.Set.Nodes++
+			switch {
+			case Marked(next):
+				// Logically deleted: visited, not a member.
+			case bucketOf != nil && bucketOf(key) != b:
+				rep.Quarantine(cell, fmt.Sprintf("key %d found in bucket %d, hashes to %d", key, b, bucketOf(key)))
+			default:
+				rep.Set.Members[key] = val
 			}
 		}
 		ptr = next
 	}
 }
 
-// corruptReason re-derives the checkNode failure string for a node known
-// to violate the convention.
-func corruptReason(structure string, node isa.Addr, key, val uint64) string {
-	if err := checkNode(structure, node, key, val); err != nil {
-		return err.(Corruption).Reason
-	}
-	return "unknown violation"
+func newSetReport(structure string) *Report {
+	return &Report{Structure: structure, Set: &SetState{Members: map[uint64]uint64{}}}
 }
 
-// ReportList is the hardened WalkList: it never fails, returning what was
-// recoverable plus the quarantine set.
+// ReportList walks a lock-free sorted linked list from head (the head
+// pointer cell). Layout: [key, val, next].
 func ReportList(img *mm.Memory, head isa.Addr) *Report {
-	rep := &Report{Structure: "linkedlist"}
-	rep.Set = reportChain(img, rep, head, 0)
+	rep := newSetReport("linkedlist")
+	reportChain(img, rep, head, 0, nil)
 	return rep
 }
 
-// ReportHashMap is the hardened WalkHashMap: corrupt buckets are
-// quarantined individually; healthy buckets recover in full.
+// ReportHashMap walks a lock-free hash table: buckets is the bucket array
+// base, nbuckets its length, and bucketOf must map a key to its bucket
+// index (the table's hash). Corrupt buckets are quarantined individually;
+// healthy buckets recover in full.
 func ReportHashMap(img *mm.Memory, buckets isa.Addr, nbuckets uint64, bucketOf func(uint64) uint64) *Report {
-	rep := &Report{Structure: "hashmap", Set: &SetState{Members: map[uint64]uint64{}}}
+	rep := newSetReport("hashmap")
 	for b := uint64(0); b < nbuckets; b++ {
-		cell := buckets + isa.Addr(b*BucketStride)
-		sub := reportChain(img, rep, cell, 0)
-		for k, v := range sub.Members {
-			if bucketOf(k) != b {
-				rep.quarantine(cell, fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, bucketOf(k)))
-				continue
-			}
-			rep.Set.Members[k] = v
-		}
-		rep.Set.Nodes += sub.Nodes
+		reportChain(img, rep, buckets+isa.Addr(b*BucketStride), b, bucketOf)
 	}
 	return rep
 }
 
-// ReportBST is the hardened WalkBST: a corrupt node prunes its subtree
-// into the quarantine set; the rest of the tree recovers.
+// ReportBST walks a lock-free external BST from its root cell. Layout:
+// [key, val, left, right]; leaves have zero children; sentinel is the
+// sentinel leaf's key. A corrupt node prunes its subtree into the
+// quarantine set; the rest of the tree recovers.
 func ReportBST(img *mm.Memory, root isa.Addr, sentinel uint64) *Report {
-	rep := &Report{Structure: "bstree", Set: &SetState{Members: map[uint64]uint64{}}}
+	rep := newSetReport("bstree")
 	rootPtr := clean(img.Read(root))
 	if rootPtr == 0 {
-		return rep
+		return rep // pre-initialization crash: empty tree
 	}
 	steps := 0
 	var walk func(node isa.Addr, lo, hi uint64)
 	walk = func(node isa.Addr, lo, hi uint64) {
 		steps++
 		if steps > maxSteps {
-			rep.quarantine(node, "walk exceeded step bound (cycle?)")
-			rep.Abandoned++
+			rep.truncate(node, "walk exceeded step bound (cycle?)")
 			return
 		}
 		if !node.Aligned() {
-			rep.quarantine(node, "misaligned node pointer")
-			rep.Abandoned++
+			rep.truncate(node, "misaligned node pointer")
 			return
 		}
 		key := img.Read(node + 0)
 		left := clean(img.Read(node + 16))
 		right := clean(img.Read(node + 24))
 		if key == 0 {
-			rep.quarantine(node, "reachable node with uninitialized key")
-			rep.Abandoned++
+			rep.truncate(node, "reachable node with uninitialized key")
 			return
 		}
 		if key < lo || key > hi {
-			rep.quarantine(node, fmt.Sprintf("key %d escapes route bounds [%d,%d]", key, lo, hi))
-			rep.Abandoned++
+			rep.truncate(node, fmt.Sprintf("key %d escapes route bounds [%d,%d]", key, lo, hi))
 			return
 		}
 		if left == 0 && right == 0 {
@@ -184,19 +190,19 @@ func ReportBST(img *mm.Memory, root isa.Addr, sentinel uint64) *Report {
 				return
 			}
 			val := img.Read(node + 8)
-			if err := checkNode("bstree", node, key, val); err != nil {
-				rep.quarantine(node, corruptReason("bstree", node, key, val))
+			if reason := checkNode(key, val); reason != "" {
+				rep.Quarantine(node, reason)
 				return
 			}
 			rep.Set.Members[key] = val
 			return
 		}
 		if left == 0 || right == 0 {
-			rep.quarantine(node, "internal node with a missing child")
-			rep.Abandoned++
+			rep.truncate(node, "internal node with a missing child")
 			return
 		}
 		rep.Set.Nodes++
+		// External BST routing: left subtree < key, right subtree >= key.
 		walk(isa.Addr(left), lo, key-1)
 		walk(isa.Addr(right), key, hi)
 	}
@@ -204,78 +210,68 @@ func ReportBST(img *mm.Memory, root isa.Addr, sentinel uint64) *Report {
 	return rep
 }
 
-// ReportSkipList is the hardened WalkSkipList: membership is defined by
-// the bottom level alone (index levels are rebuilt by null recovery), so
-// only the bottom level is walked.
-func ReportSkipList(img *mm.Memory, head isa.Addr, maxHeight int) *Report {
-	rep := &Report{Structure: "skiplist"}
-	st := &SetState{Members: map[uint64]uint64{}}
+// ReportSkipList walks a lock-free skip list from its head tower.
+// Layout: [key, val, height, next...]. Membership is defined by the
+// bottom level alone, so only it is walked: the index levels carry plain
+// (volatile) annotations, so a crash image may hold index links whose
+// bottom-level counterparts never persisted — Release Persistency does
+// not order them — and null recovery rebuilds the index from the bottom
+// level. WalkSkipListIndex checks the index of a complete image.
+func ReportSkipList(img *mm.Memory, head isa.Addr) *Report {
+	rep := newSetReport("skiplist")
 	prev := uint64(0)
-	ptr := img.Read(head)
+	ptr := img.Read(head) // level-0 cell
 	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			rep.quarantine(head, "walk exceeded step bound (cycle?)")
-			rep.Abandoned++
-			break
-		}
-		node := isa.Addr(clean(ptr))
+		node := rep.Follow(ptr, steps, head, "")
 		if node == 0 {
-			break
-		}
-		if !node.Aligned() {
-			rep.quarantine(node, "misaligned node pointer")
-			rep.Abandoned++
-			break
+			return rep
 		}
 		key := img.Read(node + 0)
 		val := img.Read(node + 8)
 		height := img.Read(node + 16)
 		next := img.Read(node + 24)
-		switch {
-		case checkNode("skiplist", node, key, val) != nil:
-			rep.quarantine(node, corruptReason("skiplist", node, key, val))
-		case height == 0:
-			rep.quarantine(node, "height 0")
-		case key <= prev:
-			rep.quarantine(node, fmt.Sprintf("bottom-level order violated: %d after %d", key, prev))
-		default:
+		if reason := checkNode(key, val); reason != "" {
+			rep.Quarantine(node, reason)
+		} else if height == 0 {
+			rep.Quarantine(node, "height 0")
+		} else if key <= prev {
+			rep.Quarantine(node, fmt.Sprintf("bottom-level order violated: %d after %d", key, prev))
+		} else {
 			prev = key
-			st.Nodes++
-			if next&markBit == 0 {
-				st.Members[key] = val
+			rep.Set.Nodes++
+			if !Marked(next) {
+				rep.Set.Members[key] = val
 			}
 		}
 		ptr = next
 	}
-	rep.Set = st
-	return rep
 }
 
-// ReportQueue is the hardened WalkQueue: a corrupt node truncates the
-// recovered value sequence there (a queue's order is its content, so
-// nothing beyond an untrusted link can be kept).
+// ReportQueue walks a Michael–Scott queue from its head and tail cells.
+// Layout: [val, next]; the head points at the dummy node. A corrupt node
+// truncates the recovered value sequence there (a queue's order is its
+// content, so nothing beyond an untrusted link can be kept).
 func ReportQueue(img *mm.Memory, head, tail isa.Addr) *Report {
 	rep := &Report{Structure: "queue", Queue: &QueueState{}}
 	hp := clean(img.Read(head))
 	tp := clean(img.Read(tail))
 	if hp == 0 {
 		if tp != 0 {
-			rep.quarantine(head, "tail persisted before head")
+			rep.Quarantine(head, "tail persisted before head")
 		}
-		return rep
+		return rep // pre-initialization crash
 	}
+	// Skip the dummy, then collect values.
 	ptr := hp
 	sawTail := tp == 0
 	for steps := 0; ; steps++ {
 		if steps > maxSteps {
-			rep.quarantine(head, "walk exceeded step bound (cycle?)")
-			rep.Abandoned++
+			rep.truncate(head, "walk exceeded step bound (cycle?)")
 			return rep
 		}
 		node := isa.Addr(ptr)
 		if !node.Aligned() {
-			rep.quarantine(node, "misaligned node pointer")
-			rep.Abandoned++
+			rep.truncate(node, "misaligned node pointer")
 			return rep
 		}
 		if ptr == tp {
@@ -287,21 +283,21 @@ func ReportQueue(img *mm.Memory, head, tail isa.Addr) *Report {
 			break
 		}
 		if !isa.Addr(next).Aligned() {
-			rep.quarantine(isa.Addr(next), "misaligned node pointer")
-			rep.Abandoned++
+			rep.truncate(isa.Addr(next), "misaligned node pointer")
 			return rep
 		}
 		val := img.Read(isa.Addr(next) + 0)
 		if val == 0 {
-			rep.quarantine(isa.Addr(next), "reachable node with uninitialized value")
-			rep.Abandoned++
+			rep.truncate(isa.Addr(next), "reachable node with uninitialized value")
 			return rep
 		}
 		rep.Queue.Values = append(rep.Queue.Values, val)
 		ptr = next
 	}
 	if !sawTail {
-		rep.quarantine(tail, "tail points outside the reachable chain")
+		// The tail pointer must land on a reachable node (it may lag the
+		// last node by at most the unswung links, but never escape).
+		rep.Quarantine(tail, "tail points outside the reachable chain")
 	}
 	return rep
 }

@@ -12,8 +12,8 @@ import (
 // faulty NVM can leave: pointer cycles, nodes linked before their
 // initialization persisted (zero key), torn lines (value fails the
 // integrity convention), truncated images and garbage pointers. Every
-// walker — strict and hardened — must diagnose them without panicking or
-// looping.
+// walker must diagnose them without panicking or looping, name the first
+// violation in Report.Err, and keep what it can still recover.
 
 // listNode writes a [key, val, next] list node at addr.
 func listNode(img *mm.Memory, addr isa.Addr, key, val, next uint64) {
@@ -62,14 +62,13 @@ func TestListPointerCycleBounded(t *testing.T) {
 	n1, n2 := healthyList(img)
 	img.Write(n2+16, uint64(n1)) // n2.next -> n1: cycle
 	// The sortedness check catches the revisit of n1 (key 5 after 9)
-	// before the step bound can: every list cycle revisits a key.
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "key order violated")
-
-	// The hardened walk skips order violations and keeps going, so the
-	// cycle runs until the step bound truncates it.
+	// first: every list cycle revisits a key.
 	tightSteps(t, 100)
 	rep := ReportList(img, listHead)
+	wantCorruption(t, rep.Err(), "key order violated")
+
+	// The walk skips order violations and keeps going, so the cycle runs
+	// until the step bound truncates it.
 	if rep.Clean() || rep.Abandoned != 1 {
 		t.Fatalf("hardened walk did not truncate the cycle: %v", rep)
 	}
@@ -90,12 +89,10 @@ func TestQueuePointerCycleBounded(t *testing.T) {
 	img.Write(n2+0, 8)
 	img.Write(n2+8, uint64(n1)) // n2.next -> n1: cycle with valid values
 	tightSteps(t, 100)
-	_, err := WalkQueue(img, head, tail)
-	wantCorruption(t, err, "step bound")
-
 	rep := ReportQueue(img, head, tail)
-	if rep.Clean() || rep.Abandoned != 1 {
-		t.Fatalf("hardened queue walk did not truncate the cycle: %v", rep)
+	wantCorruption(t, rep.Err(), "step bound")
+	if rep.Abandoned != 1 {
+		t.Fatalf("queue walk did not truncate the cycle: %v", rep)
 	}
 }
 
@@ -105,14 +102,9 @@ func TestZeroKeyNode(t *testing.T) {
 	n3 := isa.Addr(0x3000)
 	// n3 was linked in but its initialization never persisted.
 	img.Write(n1+16, uint64(n3))
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "uninitialized key")
-
 	rep := ReportList(img, listHead)
-	if rep.Clean() {
-		t.Fatal("hardened walk reported a clean image")
-	}
-	if len(rep.Quarantined) == 0 || rep.Quarantined[0].Node != n3 {
+	wantCorruption(t, rep.Err(), "uninitialized key")
+	if rep.Quarantined[0].Node != n3 {
 		t.Fatalf("quarantine missed node %v: %v", n3, rep.Quarantined)
 	}
 	// The walk continues past the quarantined node (its next is nil
@@ -127,11 +119,9 @@ func TestTornLineNode(t *testing.T) {
 	n1, n2 := healthyList(img)
 	// n2's line tore: the key word persisted, the value word did not.
 	img.Write(n2+8, 0)
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "integrity convention")
-
 	rep := ReportList(img, listHead)
-	if rep.Clean() || len(rep.Quarantined) != 1 || rep.Quarantined[0].Node != n2 {
+	wantCorruption(t, rep.Err(), "integrity convention")
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Node != n2 {
 		t.Fatalf("torn node not quarantined: %v", rep)
 	}
 	if rep.Set.Members[5] != DefaultVal(5) {
@@ -146,13 +136,8 @@ func TestTruncatedImage(t *testing.T) {
 	img := mm.NewMemory()
 	n1, _ := healthyList(img)
 	img.Write(n1+16, uint64(isa.Addr(0x7000))) // beyond the written image
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "uninitialized key")
-
 	rep := ReportList(img, listHead)
-	if rep.Clean() {
-		t.Fatal("hardened walk reported a truncated image clean")
-	}
+	wantCorruption(t, rep.Err(), "uninitialized key")
 	if rep.Set.Members[5] != DefaultVal(5) {
 		t.Fatal("healthy prefix lost")
 	}
@@ -164,11 +149,9 @@ func TestMisalignedPointerDoesNotPanic(t *testing.T) {
 	// Garbage pointer with bit 2 set: clean() strips only the mark bits,
 	// so an unguarded walker would fault the image read.
 	img.Write(n1+16, uint64(0x3004))
-	_, err := WalkList(img, listHead)
-	wantCorruption(t, err, "misaligned")
-
 	rep := ReportList(img, listHead)
-	if rep.Clean() || rep.Abandoned != 1 {
+	wantCorruption(t, rep.Err(), "misaligned")
+	if rep.Abandoned != 1 {
 		t.Fatalf("misaligned pointer not quarantined: %v", rep)
 	}
 }
@@ -189,12 +172,12 @@ func TestBSTCorruptions(t *testing.T) {
 		node(img, in, 10, 0, uint64(leaf), uint64(in)) // right child is itself
 		node(img, leaf, 5, DefaultVal(5), 0, 0)
 		img.Write(root, uint64(in))
-		if _, err := WalkBST(img, root, sentinel); err == nil {
-			t.Fatal("cycle accepted")
-		}
 		rep := ReportBST(img, root, sentinel)
-		if rep.Clean() {
-			t.Fatal("hardened walk reported cycle clean")
+		// The revisited node's leaf escapes its tighter route bounds
+		// first; the cycle itself runs into the step bound.
+		wantCorruption(t, rep.Err(), "escapes route bounds")
+		if c := rep.Quarantined[len(rep.Quarantined)-1]; !strings.Contains(c.Reason, "step bound") {
+			t.Fatalf("cycle not attributed to the step bound: %v", c)
 		}
 		if rep.Set.Members[5] != DefaultVal(5) {
 			t.Fatal("healthy leaf lost")
@@ -206,28 +189,23 @@ func TestBSTCorruptions(t *testing.T) {
 		node(img, in, 10, 0, uint64(leaf), 0) // right link never persisted
 		node(img, leaf, 5, DefaultVal(5), 0, 0)
 		img.Write(root, uint64(in))
-		_, err := WalkBST(img, root, sentinel)
-		wantCorruption(t, err, "missing child")
 		rep := ReportBST(img, root, sentinel)
-		if rep.Clean() || rep.Abandoned != 1 {
+		wantCorruption(t, rep.Err(), "missing child")
+		if rep.Abandoned != 1 {
 			t.Fatalf("missing child not quarantined: %v", rep)
 		}
 	})
 }
 
-func TestHardenedMatchesStrictOnHealthyImage(t *testing.T) {
+func TestReportListHealthyImage(t *testing.T) {
 	img := mm.NewMemory()
 	healthyList(img)
-	st, err := WalkList(img, listHead)
-	if err != nil {
-		t.Fatalf("strict walk failed on healthy image: %v", err)
-	}
 	rep := ReportList(img, listHead)
 	if !rep.Clean() || rep.Err() != nil {
-		t.Fatalf("hardened walk not clean on healthy image: %v", rep)
+		t.Fatalf("walk not clean on healthy image: %v", rep)
 	}
-	checkMembers(t, rep.Set, st.Members)
-	if rep.Set.Nodes != st.Nodes {
-		t.Fatalf("node counts differ: %d vs %d", rep.Set.Nodes, st.Nodes)
+	checkMembers(t, rep.Set, map[uint64]uint64{5: DefaultVal(5), 9: DefaultVal(9)})
+	if rep.Set.Nodes != 2 {
+		t.Fatalf("visited %d nodes, want 2", rep.Set.Nodes)
 	}
 }

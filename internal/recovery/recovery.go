@@ -1,16 +1,21 @@
 // Package recovery implements null recovery (Izraelevitz & Scott) for the
 // five log-free data structures: given only the durable NVM image left by
-// a (simulated) crash, it walks each structure, validates its structural
-// invariants, and rebuilds its logical contents.
+// a (simulated) crash, it walks each structure once, validates its
+// structural invariants, and rebuilds its logical contents.
+//
+// Each structure has one walker, and it never aborts. A node that
+// violates an invariant is quarantined into the walk's Report and the
+// walk recovers everything else it can reach — what a recovery procedure
+// must do when the image was left by a faulty NVM (torn lines, garbage
+// pointers) rather than an idealized one. A clean report is a full
+// recovery; otherwise Report.Err names the first violation found.
 //
 // When the run enforced Release Persistency (SB, BB, LRP), the image is a
-// consistent cut and every walk succeeds — that is the paper's
-// correctness claim, and the crash-fuzzing tests exercise it at thousands
-// of crash instants. Under ARP or NOP, a walk can encounter a node whose
-// linking pointer persisted before its contents: a reachable node with a
-// zero key or a value that fails the integrity convention. The walkers
-// report those as corruption instead of crashing, which is exactly what a
-// real recovery procedure would face.
+// consistent cut and every walk is clean — that is the paper's
+// correctness claim, and the crash sweeps check it at every persist
+// boundary. Under ARP or NOP, a walk can encounter a node whose linking
+// pointer persisted before its contents: a reachable node with a zero
+// key or a value that fails the integrity convention.
 package recovery
 
 import (
@@ -26,8 +31,8 @@ import (
 func DefaultVal(key uint64) uint64 { return key*2 + 1 }
 
 // maxSteps bounds every walk so a corrupted image with a pointer cycle
-// terminates with an error instead of looping. It is a variable only so
-// tests can exercise the bound without walking millions of steps.
+// terminates instead of looping. It is a variable only so tests can
+// exercise the bound without walking millions of steps.
 var maxSteps = 1 << 22
 
 // Corruption describes one structural violation found in a crash image.
@@ -49,6 +54,17 @@ type SetState struct {
 	Nodes int
 }
 
+// QueueState is the recovered logical content of the MS queue.
+type QueueState struct {
+	// Values are the queued values from head to tail.
+	Values []uint64
+	Nodes  int
+}
+
+// BucketStride is the byte distance between bucket head cells (they are
+// padded to a line each; see lfds.HashMap).
+const BucketStride = isa.LineSize
+
 const (
 	ptrMask = ^uint64(3)
 	markBit = 1
@@ -56,174 +72,40 @@ const (
 
 func clean(p uint64) uint64 { return p & ptrMask }
 
-// checkNode validates the key/value convention for a reachable node.
-func checkNode(structure string, node isa.Addr, key, val uint64) error {
+// Marked reports whether a link word carries the logical-deletion mark.
+func Marked(link uint64) bool { return link&markBit != 0 }
+
+// checkNode validates the key/value convention for a reachable node,
+// returning the violation or "".
+func checkNode(key, val uint64) string {
 	if key == 0 {
-		return Corruption{structure, node, "reachable node with uninitialized key"}
+		return "reachable node with uninitialized key"
 	}
 	if val != DefaultVal(key) {
-		return Corruption{structure, node,
-			fmt.Sprintf("value %d fails integrity convention for key %d (want %d)", val, key, DefaultVal(key))}
+		return fmt.Sprintf("value %d fails integrity convention for key %d (want %d)", val, key, DefaultVal(key))
 	}
-	return nil
+	return ""
 }
 
-// WalkList recovers a lock-free sorted linked list from head (the head
-// pointer cell). Layout: [key, val, next].
-func WalkList(img *mm.Memory, head isa.Addr) (*SetState, error) {
-	return walkChain(img, "linkedlist", head, 0)
-}
-
-// walkChain walks one sorted list; lower bounds the first key
-// (exclusive), supporting per-bucket checks.
-func walkChain(img *mm.Memory, structure string, headCell isa.Addr, lower uint64) (*SetState, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	prev := lower
-	ptr := img.Read(headCell)
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return nil, Corruption{structure, headCell, "walk exceeded step bound (cycle?)"}
-		}
-		node := isa.Addr(clean(ptr))
-		if node == 0 {
-			return st, nil
-		}
-		if !node.Aligned() {
-			// clean strips only the mark/flag bits; a garbage pointer with
-			// bit 2 set would fault the word-addressed image reads.
-			return nil, Corruption{structure, node, "misaligned node pointer"}
-		}
-		key := img.Read(node + 0)
-		val := img.Read(node + 8)
-		next := img.Read(node + 16)
-		if err := checkNode(structure, node, key, val); err != nil {
-			return nil, err
-		}
-		if key <= prev {
-			return nil, Corruption{structure, node,
-				fmt.Sprintf("key order violated: %d after %d", key, prev)}
-		}
-		prev = key
-		st.Nodes++
-		if next&markBit == 0 {
-			st.Members[key] = val
-		}
-		ptr = next
-	}
-}
-
-// BucketStride is the byte distance between bucket head cells (they are
-// padded to a line each; see lfds.HashMap).
-const BucketStride = isa.LineSize
-
-// WalkHashMap recovers a lock-free hash table: buckets is the bucket
-// array base, nbuckets its length, and bucketOf must map a key to its
-// bucket index (the table's hash).
-func WalkHashMap(img *mm.Memory, buckets isa.Addr, nbuckets uint64, bucketOf func(uint64) uint64) (*SetState, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	for b := uint64(0); b < nbuckets; b++ {
-		cell := buckets + isa.Addr(b*BucketStride)
-		sub, err := walkChain(img, "hashmap", cell, 0)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range sub.Members { // maprange:ok — merge into a keyed map is order-independent
-			if bucketOf(k) != b {
-				return nil, Corruption{"hashmap", cell,
-					fmt.Sprintf("key %d found in bucket %d, hashes to %d", k, b, bucketOf(k))}
-			}
-			st.Members[k] = v
-		}
-		st.Nodes += sub.Nodes
-	}
-	return st, nil
-}
-
-// WalkBST recovers a lock-free external BST from its root cell. Layout:
-// [key, val, left, right]; leaves have zero children; sentinel is the
-// given sentinel key.
-func WalkBST(img *mm.Memory, root isa.Addr, sentinel uint64) (*SetState, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	rootPtr := clean(img.Read(root))
-	if rootPtr == 0 {
-		return st, nil // pre-initialization crash: empty tree
-	}
-	steps := 0
-	var walk func(node isa.Addr, lo, hi uint64) error
-	walk = func(node isa.Addr, lo, hi uint64) error {
-		steps++
-		if steps > maxSteps {
-			return Corruption{"bstree", node, "walk exceeded step bound (cycle?)"}
-		}
-		if !node.Aligned() {
-			return Corruption{"bstree", node, "misaligned node pointer"}
-		}
-		key := img.Read(node + 0)
-		left := clean(img.Read(node + 16))
-		right := clean(img.Read(node + 24))
-		if key == 0 {
-			return Corruption{"bstree", node, "reachable node with uninitialized key"}
-		}
-		if key < lo || key > hi {
-			return Corruption{"bstree", node,
-				fmt.Sprintf("key %d escapes route bounds [%d,%d]", key, lo, hi)}
-		}
-		if left == 0 && right == 0 {
-			// Leaf.
-			st.Nodes++
-			if key == sentinel {
-				return nil
-			}
-			val := img.Read(node + 8)
-			if err := checkNode("bstree", node, key, val); err != nil {
-				return err
-			}
-			st.Members[key] = val
-			return nil
-		}
-		if left == 0 || right == 0 {
-			return Corruption{"bstree", node, "internal node with a missing child"}
-		}
-		st.Nodes++
-		// External BST routing: left subtree < key, right subtree >= key.
-		if err := walk(isa.Addr(left), lo, key-1); err != nil {
-			return err
-		}
-		return walk(isa.Addr(right), key, hi)
-	}
-	if err := walk(isa.Addr(rootPtr), 1, sentinel); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// WalkSkipList recovers a lock-free skip list from its head tower.
-// Layout: [key, val, height, next...]; maxHeight is the tower height.
-//
-// Only the bottom level is validated: the index levels carry plain
-// (volatile) annotations, so a crash image may hold index links whose
-// bottom-level counterparts never persisted — Release Persistency does
-// not order them. Null recovery rebuilds the index from the recovered
-// bottom level; WalkSkipListIndex offers the strict whole-structure
-// check for images known to be complete (clean shutdown).
-func WalkSkipList(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState, error) {
-	st, _, err := walkSkipBottom(img, head)
-	return st, err
-}
-
-// WalkSkipListIndex validates the bottom level and every index level
-// (sortedness, height bounds, bottom membership of live index nodes).
+// WalkSkipListIndex checks a skip list whose image is known to be
+// complete (clean shutdown): beyond ReportSkipList's bottom level, every
+// index level must be a sorted subsequence of the bottom level within its
+// nodes' heights. Index levels carry plain (volatile) annotations, so a
+// crash image need not pass it; maxHeight is the head tower's height.
 func WalkSkipListIndex(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState, error) {
-	st, bottomKeys, err := walkSkipBottom(img, head)
-	if err != nil {
+	rep := ReportSkipList(img, head)
+	if err := rep.Err(); err != nil {
 		return nil, err
 	}
-	// Index levels must be sorted subsequences of the bottom level.
-	var prev uint64
-	var ptr uint64
+	// The clean walk proved the bottom chain finite and aligned. Marked
+	// nodes count: an index node may outlive its bottom-level deletion.
+	bottomKeys := map[uint64]bool{}
+	for p := clean(img.Read(head)); p != 0; p = clean(img.Read(isa.Addr(p) + 24)) {
+		bottomKeys[img.Read(isa.Addr(p))] = true
+	}
 	for level := 1; level < maxHeight; level++ {
-		prev = 0
-		ptr = img.Read(head + isa.Addr(level*8))
+		prev := uint64(0)
+		ptr := img.Read(head + isa.Addr(level*8))
 		for steps := 0; ; steps++ {
 			if steps > maxSteps {
 				return nil, Corruption{"skiplist", head, "index walk exceeded step bound"}
@@ -237,7 +119,7 @@ func WalkSkipListIndex(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState,
 			}
 			key := img.Read(node + 0)
 			height := img.Read(node + 16)
-			deleted := img.Read(node+24)&markBit != 0
+			deleted := Marked(img.Read(node + 24))
 			if !bottomKeys[key] && !deleted {
 				// A live index node must exist on the bottom level. A
 				// *marked* one may linger: index linking races with
@@ -258,104 +140,5 @@ func WalkSkipListIndex(img *mm.Memory, head isa.Addr, maxHeight int) (*SetState,
 			ptr = img.Read(node + isa.Addr(24+level*8))
 		}
 	}
-	return st, nil
-}
-
-// walkSkipBottom walks and validates the bottom level, which alone
-// defines membership.
-func walkSkipBottom(img *mm.Memory, head isa.Addr) (*SetState, map[uint64]bool, error) {
-	st := &SetState{Members: map[uint64]uint64{}}
-	bottomKeys := map[uint64]bool{}
-	prev := uint64(0)
-	ptr := img.Read(head) // level-0 cell
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return nil, nil, Corruption{"skiplist", head, "walk exceeded step bound (cycle?)"}
-		}
-		node := isa.Addr(clean(ptr))
-		if node == 0 {
-			break
-		}
-		if !node.Aligned() {
-			return nil, nil, Corruption{"skiplist", node, "misaligned node pointer"}
-		}
-		key := img.Read(node + 0)
-		val := img.Read(node + 8)
-		height := img.Read(node + 16)
-		next := img.Read(node + 24)
-		if err := checkNode("skiplist", node, key, val); err != nil {
-			return nil, nil, err
-		}
-		if height == 0 {
-			return nil, nil, Corruption{"skiplist", node, "height 0"}
-		}
-		if key <= prev {
-			return nil, nil, Corruption{"skiplist", node,
-				fmt.Sprintf("bottom-level order violated: %d after %d", key, prev)}
-		}
-		prev = key
-		st.Nodes++
-		bottomKeys[key] = true
-		if next&markBit == 0 {
-			st.Members[key] = val
-		}
-		ptr = next
-	}
-	return st, bottomKeys, nil
-}
-
-// QueueState is the recovered logical content of the MS queue.
-type QueueState struct {
-	// Values are the queued values from head to tail.
-	Values []uint64
-	Nodes  int
-}
-
-// WalkQueue recovers a Michael–Scott queue from its head and tail cells.
-// Layout: [val, next]; the head points at the dummy node.
-func WalkQueue(img *mm.Memory, head, tail isa.Addr) (*QueueState, error) {
-	st := &QueueState{}
-	hp := clean(img.Read(head))
-	tp := clean(img.Read(tail))
-	if hp == 0 {
-		if tp != 0 {
-			return nil, Corruption{"queue", head, "tail persisted before head"}
-		}
-		return st, nil // pre-initialization crash
-	}
-	// Skip the dummy, then collect values.
-	ptr := hp
-	sawTail := tp == 0
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return nil, Corruption{"queue", head, "walk exceeded step bound (cycle?)"}
-		}
-		node := isa.Addr(ptr)
-		if !node.Aligned() {
-			return nil, Corruption{"queue", node, "misaligned node pointer"}
-		}
-		if ptr == tp {
-			sawTail = true
-		}
-		next := clean(img.Read(node + 8))
-		st.Nodes++
-		if next == 0 {
-			break
-		}
-		if !isa.Addr(next).Aligned() {
-			return nil, Corruption{"queue", isa.Addr(next), "misaligned node pointer"}
-		}
-		val := img.Read(isa.Addr(next) + 0)
-		if val == 0 {
-			return nil, Corruption{"queue", isa.Addr(next), "reachable node with uninitialized value"}
-		}
-		st.Values = append(st.Values, val)
-		ptr = next
-	}
-	if !sawTail {
-		// The tail pointer must land on a reachable node (it may lag the
-		// last node by at most the unswung links, but never escape).
-		return nil, Corruption{"queue", tail, "tail points outside the reachable chain"}
-	}
-	return st, nil
+	return rep.Set, nil
 }

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"reflect"
 	"testing"
 
 	"lrp/internal/isa"
@@ -54,17 +55,22 @@ func checkMembers(t *testing.T, got *SetState, want map[uint64]uint64) {
 	}
 }
 
+// mustClean fails the test unless rep recovered the full structure.
+func mustClean(t *testing.T, rep *Report) *Report {
+	t.Helper()
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestWalkListCleanShutdown(t *testing.T) {
 	s := sys(t)
 	l := lfds.NewLinkedList(s)
 	want := populate(s, l)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	st, err := WalkList(img, l.Head())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st, want)
+	checkMembers(t, mustClean(t, ReportList(img, l.Head())).Set, want)
 }
 
 func TestWalkHashMapCleanShutdown(t *testing.T) {
@@ -74,11 +80,7 @@ func TestWalkHashMapCleanShutdown(t *testing.T) {
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
 	base, n := h.Buckets()
-	st, err := WalkHashMap(img, base, n, h.BucketOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st, want)
+	checkMembers(t, mustClean(t, ReportHashMap(img, base, n, h.BucketOf)).Set, want)
 }
 
 func TestWalkBSTCleanShutdown(t *testing.T) {
@@ -88,11 +90,7 @@ func TestWalkBSTCleanShutdown(t *testing.T) {
 	want := populate(s, b)
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
-	st, err := WalkBST(img, b.Root(), lfds.BSTSentinel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st, want)
+	checkMembers(t, mustClean(t, ReportBST(img, b.Root(), lfds.BSTSentinel)).Set, want)
 }
 
 func TestWalkSkipListCleanShutdown(t *testing.T) {
@@ -107,11 +105,7 @@ func TestWalkSkipListCleanShutdown(t *testing.T) {
 	}
 	checkMembers(t, st, want)
 	// The bottom-only walker recovers the same membership.
-	st2, err := WalkSkipList(img, sl.Head(), lfds.MaxHeight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, st2, want)
+	checkMembers(t, mustClean(t, ReportSkipList(img, sl.Head())).Set, want)
 }
 
 func TestWalkQueueCleanShutdown(t *testing.T) {
@@ -130,10 +124,7 @@ func TestWalkQueueCleanShutdown(t *testing.T) {
 	s.Drain()
 	img := s.NVM().FinalImage(nil)
 	head, tail := q.Anchors()
-	st, err := WalkQueue(img, head, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustClean(t, ReportQueue(img, head, tail)).Queue
 	if len(st.Values) != 18 {
 		t.Fatalf("recovered %d values, want 18", len(st.Values))
 	}
@@ -144,7 +135,8 @@ func TestWalkQueueCleanShutdown(t *testing.T) {
 	}
 }
 
-// Corruption detection on hand-built bad images.
+// Corruption detection on hand-built bad images: each asserts the
+// report's first quarantine reason.
 
 func TestWalkListDetectsGarbageNode(t *testing.T) {
 	img := mm.NewMemory()
@@ -152,17 +144,13 @@ func TestWalkListDetectsGarbageNode(t *testing.T) {
 	node := isa.Addr(0x2000)
 	img.Write(head, uint64(node))
 	// Node linked but never initialized: the ARP failure mode.
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected corruption for uninitialized node")
-	}
+	wantCorruption(t, ReportList(img, head).Err(), "uninitialized key")
 	// Now a bad value.
 	img.Write(node+0, 5)
 	img.Write(node+8, 99) // not DefaultVal(5)
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected corruption for value mismatch")
-	}
+	wantCorruption(t, ReportList(img, head).Err(), "integrity convention")
 	img.Write(node+8, DefaultVal(5))
-	if _, err := WalkList(img, head); err != nil {
+	if err := ReportList(img, head).Err(); err != nil {
 		t.Fatalf("clean node rejected: %v", err)
 	}
 }
@@ -177,9 +165,7 @@ func TestWalkListDetectsOrderViolation(t *testing.T) {
 	img.Write(n1+16, uint64(n2))
 	img.Write(n2+0, 4) // out of order
 	img.Write(n2+8, DefaultVal(4))
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected order violation")
-	}
+	wantCorruption(t, ReportList(img, head).Err(), "key order violated")
 }
 
 func TestWalkListDetectsCycle(t *testing.T) {
@@ -190,8 +176,11 @@ func TestWalkListDetectsCycle(t *testing.T) {
 	img.Write(n1+0, 1)
 	img.Write(n1+8, DefaultVal(1))
 	img.Write(n1+16, uint64(n1)) // self loop — also an order violation
-	if _, err := WalkList(img, head); err == nil {
-		t.Fatal("expected cycle/order detection")
+	tightSteps(t, 100)
+	rep := ReportList(img, head)
+	wantCorruption(t, rep.Err(), "key order violated")
+	if rep.Abandoned != 1 {
+		t.Fatalf("self loop not truncated: %v", rep)
 	}
 }
 
@@ -203,8 +192,31 @@ func TestWalkHashMapDetectsWrongBucket(t *testing.T) {
 	img.Write(node+0, 7)
 	img.Write(node+8, DefaultVal(7))
 	bucketOf := func(k uint64) uint64 { return 1 } // everything hashes to 1
-	if _, err := WalkHashMap(img, buckets, 2, bucketOf); err == nil {
-		t.Fatal("expected wrong-bucket detection")
+	wantCorruption(t, ReportHashMap(img, buckets, 2, bucketOf).Err(), "found in bucket 0, hashes to 1")
+}
+
+// TestWalkHashMapQuarantineOrder pins the quarantine list of a bucket
+// holding several wrong-bucket keys to chain order on every walk.
+func TestWalkHashMapQuarantineOrder(t *testing.T) {
+	img := mm.NewMemory()
+	buckets := isa.Addr(0x1000)
+	n1, n2 := isa.Addr(0x2000), isa.Addr(0x3000)
+	img.Write(buckets, uint64(n1)) // bucket 0: 3 -> 7
+	listNode(img, n1, 3, DefaultVal(3), uint64(n2))
+	listNode(img, n2, 7, DefaultVal(7), 0)
+	bucketOf := func(k uint64) uint64 { return 1 }
+	want := []Corruption{
+		{"hashmap", buckets, "key 3 found in bucket 0, hashes to 1"},
+		{"hashmap", buckets, "key 7 found in bucket 0, hashes to 1"},
+	}
+	for i := 0; i < 64; i++ {
+		rep := ReportHashMap(img, buckets, 2, bucketOf)
+		if !reflect.DeepEqual(rep.Quarantined, want) {
+			t.Fatalf("walk %d: quarantined %v, want %v", i, rep.Quarantined, want)
+		}
+		if rep.Set.Nodes != 2 || len(rep.Set.Members) != 0 || rep.Abandoned != 0 {
+			t.Fatalf("walk %d: %v", i, rep)
+		}
 	}
 }
 
@@ -220,9 +232,7 @@ func TestWalkBSTDetectsMissingChild(t *testing.T) {
 	// persisted before it was linked.
 	img.Write(leaf+0, 5)
 	img.Write(leaf+8, DefaultVal(5))
-	if _, err := WalkBST(img, root, lfds.BSTSentinel); err == nil {
-		t.Fatal("expected missing-child detection")
-	}
+	wantCorruption(t, ReportBST(img, root, lfds.BSTSentinel).Err(), "missing child")
 }
 
 func TestWalkBSTDetectsRouteEscape(t *testing.T) {
@@ -238,16 +248,14 @@ func TestWalkBSTDetectsRouteEscape(t *testing.T) {
 	img.Write(l+8, DefaultVal(15))
 	img.Write(r+0, 20)
 	img.Write(r+8, DefaultVal(20))
-	if _, err := WalkBST(img, root, lfds.BSTSentinel); err == nil {
-		t.Fatal("expected route-bound detection")
-	}
+	wantCorruption(t, ReportBST(img, root, lfds.BSTSentinel).Err(), "escapes route bounds")
 }
 
 func TestWalkBSTEmptyImage(t *testing.T) {
 	img := mm.NewMemory()
-	st, err := WalkBST(img, 0x1000, lfds.BSTSentinel)
-	if err != nil || len(st.Members) != 0 {
-		t.Fatalf("empty image: %v %v", st, err)
+	rep := ReportBST(img, 0x1000, lfds.BSTSentinel)
+	if !rep.Clean() || len(rep.Set.Members) != 0 {
+		t.Fatalf("empty image: %v", rep)
 	}
 }
 
@@ -260,11 +268,10 @@ func TestWalkSkipListDetectsPhantomIndexNode(t *testing.T) {
 	img.Write(node+0, 5)
 	img.Write(node+8, DefaultVal(5))
 	img.Write(node+16, 2) // height 2
-	if _, err := WalkSkipListIndex(img, head, lfds.MaxHeight); err == nil {
-		t.Fatal("expected phantom index node detection")
-	}
+	_, err := WalkSkipListIndex(img, head, lfds.MaxHeight)
+	wantCorruption(t, err, "not on the bottom level")
 	// The crash-image walker ignores the (volatile) index.
-	if _, err := WalkSkipList(img, head, lfds.MaxHeight); err != nil {
+	if err := ReportSkipList(img, head).Err(); err != nil {
 		t.Fatalf("bottom-only walker should accept: %v", err)
 	}
 }
@@ -278,9 +285,8 @@ func TestWalkSkipListDetectsHeightLie(t *testing.T) {
 	img.Write(node+0, 5)
 	img.Write(node+8, DefaultVal(5))
 	img.Write(node+16, 1) // height 1, yet reachable at level 1
-	if _, err := WalkSkipListIndex(img, head, lfds.MaxHeight); err == nil {
-		t.Fatal("expected height violation detection")
-	}
+	_, err := WalkSkipListIndex(img, head, lfds.MaxHeight)
+	wantCorruption(t, err, "reachable at level 1")
 }
 
 func TestWalkQueueDetectsUninitializedNode(t *testing.T) {
@@ -290,25 +296,21 @@ func TestWalkQueueDetectsUninitializedNode(t *testing.T) {
 	img.Write(head, uint64(dummy))
 	img.Write(tail, uint64(dummy))
 	img.Write(dummy+8, uint64(n1)) // linked but val never persisted
-	if _, err := WalkQueue(img, head, tail); err == nil {
-		t.Fatal("expected uninitialized-node detection")
-	}
+	wantCorruption(t, ReportQueue(img, head, tail).Err(), "uninitialized value")
 }
 
 func TestWalkQueueTailBeforeHead(t *testing.T) {
 	img := mm.NewMemory()
 	head, tail := isa.Addr(0x1000), isa.Addr(0x1008)
 	img.Write(tail, uint64(0x2000))
-	if _, err := WalkQueue(img, head, tail); err == nil {
-		t.Fatal("expected tail-before-head detection")
-	}
+	wantCorruption(t, ReportQueue(img, head, tail).Err(), "tail persisted before head")
 }
 
 func TestWalkQueueEmptyImage(t *testing.T) {
 	img := mm.NewMemory()
-	st, err := WalkQueue(img, 0x1000, 0x1008)
-	if err != nil || len(st.Values) != 0 {
-		t.Fatalf("empty image: %v %v", st, err)
+	rep := ReportQueue(img, 0x1000, 0x1008)
+	if !rep.Clean() || len(rep.Queue.Values) != 0 {
+		t.Fatalf("empty image: %v", rep)
 	}
 }
 
@@ -318,9 +320,7 @@ func TestWalkQueueUnreachableTail(t *testing.T) {
 	dummy := isa.Addr(0x2000)
 	img.Write(head, uint64(dummy))
 	img.Write(tail, uint64(0x9000)) // points nowhere in the chain
-	if _, err := WalkQueue(img, head, tail); err == nil {
-		t.Fatal("expected unreachable-tail detection")
-	}
+	wantCorruption(t, ReportQueue(img, head, tail).Err(), "outside the reachable chain")
 }
 
 func TestCorruptionError(t *testing.T) {

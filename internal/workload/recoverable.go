@@ -12,12 +12,9 @@ import (
 type Recoverable interface {
 	// Structure names the walked structure (one of Structures).
 	Structure() string
-	// Recover performs the hardened null-recovery walk over img:
-	// corrupt nodes are quarantined into the report, never panicking.
+	// Recover performs the null-recovery walk over img: corrupt nodes
+	// are quarantined into the report, never panicking.
 	Recover(img *mm.Memory) *recovery.Report
-	// RecoverStrict performs the strict walk, failing on the first
-	// structural violation (nil error: the image recovered in full).
-	RecoverStrict(img *mm.Memory) error
 }
 
 type recoverableSet struct {
@@ -37,27 +34,9 @@ func (r recoverableSet) Recover(img *mm.Memory) *recovery.Report {
 	case *lfds.BST:
 		return recovery.ReportBST(img, s.Root(), lfds.BSTSentinel)
 	case *lfds.SkipList:
-		return recovery.ReportSkipList(img, s.Head(), lfds.MaxHeight)
+		return recovery.ReportSkipList(img, s.Head())
 	}
 	panic("workload: unknown set structure")
-}
-
-func (r recoverableSet) RecoverStrict(img *mm.Memory) error {
-	var err error
-	switch s := r.set.(type) {
-	case *lfds.LinkedList:
-		_, err = recovery.WalkList(img, s.Head())
-	case *lfds.HashMap:
-		base, n := s.Buckets()
-		_, err = recovery.WalkHashMap(img, base, n, s.BucketOf)
-	case *lfds.BST:
-		_, err = recovery.WalkBST(img, s.Root(), lfds.BSTSentinel)
-	case *lfds.SkipList:
-		_, err = recovery.WalkSkipList(img, s.Head(), lfds.MaxHeight)
-	default:
-		panic("workload: unknown set structure")
-	}
-	return err
 }
 
 type recoverableQueue struct {
@@ -69,10 +48,4 @@ func (r recoverableQueue) Structure() string { return "queue" }
 func (r recoverableQueue) Recover(img *mm.Memory) *recovery.Report {
 	head, tail := r.q.Anchors()
 	return recovery.ReportQueue(img, head, tail)
-}
-
-func (r recoverableQueue) RecoverStrict(img *mm.Memory) error {
-	head, tail := r.q.Anchors()
-	_, err := recovery.WalkQueue(img, head, tail)
-	return err
 }

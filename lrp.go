@@ -187,29 +187,44 @@ func DefaultVal(key uint64) uint64 { return recovery.DefaultVal(key) }
 
 // --- null recovery ----------------------------------------------------------
 
-// RecoverList walks a linked list in a durable image.
+// RecoverList walks a linked list in a durable image. It returns the
+// recovered contents when the walk was clean, else nil and the walk's
+// first violation (RecoveryReport.Err); Recoverable.Recover returns the
+// partial contents and the quarantine set instead.
 func RecoverList(img *Image, l *lfds.LinkedList) (*Recovered, error) {
-	return recovery.WalkList(img, l.Head())
+	return cleanSet(recovery.ReportList(img, l.Head()))
 }
 
-// RecoverHashMap walks a hash map in a durable image.
+// RecoverHashMap walks a hash map in a durable image, like RecoverList.
 func RecoverHashMap(img *Image, h *lfds.HashMap) (*Recovered, error) {
 	base, n := h.Buckets()
-	return recovery.WalkHashMap(img, base, n, h.BucketOf)
+	return cleanSet(recovery.ReportHashMap(img, base, n, h.BucketOf))
 }
 
-// RecoverBST walks a BST in a durable image.
+// RecoverBST walks a BST in a durable image, like RecoverList.
 func RecoverBST(img *Image, b *lfds.BST) (*Recovered, error) {
-	return recovery.WalkBST(img, b.Root(), lfds.BSTSentinel)
+	return cleanSet(recovery.ReportBST(img, b.Root(), lfds.BSTSentinel))
 }
 
-// RecoverSkipList walks a skip list in a durable image.
+// RecoverSkipList walks a skip list's bottom level in a durable image,
+// like RecoverList.
 func RecoverSkipList(img *Image, s *lfds.SkipList) (*Recovered, error) {
-	return recovery.WalkSkipList(img, s.Head(), lfds.MaxHeight)
+	return cleanSet(recovery.ReportSkipList(img, s.Head()))
 }
 
-// RecoverQueue walks an MS queue in a durable image.
+// RecoverQueue walks an MS queue in a durable image, like RecoverList.
 func RecoverQueue(img *Image, q *lfds.Queue) (*RecoveredQueue, error) {
 	head, tail := q.Anchors()
-	return recovery.WalkQueue(img, head, tail)
+	rep := recovery.ReportQueue(img, head, tail)
+	if err := rep.Err(); err != nil {
+		return nil, err
+	}
+	return rep.Queue, nil
+}
+
+func cleanSet(rep *RecoveryReport) (*Recovered, error) {
+	if err := rep.Err(); err != nil {
+		return nil, err
+	}
+	return rep.Set, nil
 }

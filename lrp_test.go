@@ -1,6 +1,7 @@
 package lrp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -110,6 +111,47 @@ func TestPublicRecoveryRoundTrip(t *testing.T) {
 	if _, present := rec.Members[7]; present {
 		t.Fatal("deleted key recovered")
 	}
+}
+
+// TestPublicRecoverHashMapTornImage crashes an ARP hashmap run whose
+// in-flight lines all tear and checks that the public RecoverHashMap
+// agrees with the Recoverable walk at every boundary up to the first
+// dirty one: the same set while clean, then nil and the same error.
+func TestPublicRecoverHashMapTornImage(t *testing.T) {
+	cfg := tinyConfig(ARP)
+	cfg.Faults = FaultConfig{Seed: 1, TearProb: 1}
+	_, m, rec, err := RunRecoverableWorkload(cfg, Spec{
+		Structure: "hashmap", Threads: 2, InitialSize: 32, OpsPerThread: 40, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Constructors hand out static anchors in call order, so a fresh
+	// machine's first 8-bucket table (InitialSize/4) binds the run's.
+	fresh, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHashMap(fresh, 8)
+	for _, at := range CrashBoundaries(m) {
+		crash, err := CrashRecover(m, rec, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RecoverHashMap(crash.Image, h)
+		want := crash.Recovery.Err()
+		if want == nil {
+			if err != nil || !reflect.DeepEqual(got.Members, crash.Recovery.Set.Members) {
+				t.Fatalf("t=%v: clean walk, RecoverHashMap = %v, %v", at, got, err)
+			}
+			continue
+		}
+		if got != nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("t=%v: RecoverHashMap = %v, %v; want nil, %v", at, got, err, want)
+		}
+		return
+	}
+	t.Fatal("no boundary left a dirty image")
 }
 
 func TestPublicRecoveryAllStructures(t *testing.T) {
