@@ -3,6 +3,7 @@ package lrp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lrp/internal/dlin"
@@ -151,27 +152,28 @@ func FuzzCrashes(m *Machine, n int, seed uint64) (rpBad, arpBad int, firstRP *Cr
 	if tr == nil {
 		return 0, 0, nil, fmt.Errorf("lrp: crash analysis requires Config.TrackHB")
 	}
-	for _, at := range sampleInstants(m, n, seed) {
-		if v := tr.CheckCut(at, model.RP); len(v) > 0 {
+	ats := sampleInstants(m, n, seed)
+	// CutViolations wants ascending instants; the samples are distinct,
+	// so each finds its verdict by binary search and the first
+	// RP-violating instant is still the first in sample order.
+	sorted := slices.Clone(ats)
+	slices.Sort(sorted)
+	rp, arp := tr.CutViolations(sorted)
+	for _, at := range ats {
+		j, _ := slices.BinarySearch(sorted, at)
+		if rp[j] {
 			rpBad++
 			if firstRP == nil {
 				firstRP, _ = Crash(m, at)
 			}
 		}
-		if v := tr.CheckCut(at, model.ARP); len(v) > 0 {
+		if arp[j] {
 			arpBad++
 		}
 	}
 	return rpBad, arpBad, firstRP, nil
 }
 
-// CrashBoundaries enumerates every instant at which the durable state can
-// change — each persist completion, one cycle either side of it — plus
-// the start and end of the execution, deduplicated and sorted. A crash
-// sweep over these instants provably covers every durable-state
-// transition: between consecutive persist completions the NVM image is
-// constant, so any violation or recovery failure visible at some instant
-// is visible at a boundary.
 // crashHorizon is the last instant worth crashing at: the end of core
 // execution or the last persist ack, whichever is later. Persist acks can
 // outlive m.Time() (a drain issues its final persists and the cores
@@ -187,6 +189,13 @@ func crashHorizon(m *Machine) Time {
 	return end
 }
 
+// CrashBoundaries enumerates every instant at which the durable state can
+// change — each persist completion, one cycle either side of it — plus
+// the start and end of the execution, deduplicated and sorted. A crash
+// sweep over these instants provably covers every durable-state
+// transition: between consecutive persist completions the NVM image is
+// constant, so any violation or recovery failure visible at some instant
+// is visible at a boundary.
 func CrashBoundaries(m *Machine) []Time {
 	end := crashHorizon(m)
 	seen := make(map[Time]bool)
@@ -252,9 +261,12 @@ type SweepReport struct {
 	RPBad, ARPBad int
 	// FirstRP is the full report of the first RP-violating instant.
 	FirstRP *CrashReport
-	// WalksRun counts recovery walks performed (zero without a
-	// Recoverable); DirtyWalks those that quarantined or lost nodes;
-	// Quarantined the total nodes quarantined across all walks.
+	// WalksRun counts boundaries whose recovered state was checked (zero
+	// without a Recoverable). A boundary whose image is unchanged from
+	// the previous boundary's reuses that boundary's walk rather than
+	// walking again, but still counts here. DirtyWalks counts the
+	// boundaries whose recovered state quarantined or lost nodes;
+	// Quarantined the nodes quarantined, summed over those boundaries.
 	WalksRun, DirtyWalks, Quarantined int
 	// FirstDirty is the first non-clean recovery report, at FirstDirtyAt.
 	FirstDirty   *RecoveryReport
@@ -290,10 +302,8 @@ func (r *SweepReport) String() string {
 // SweepCrashBoundaries crashes the machine at every persist-completion
 // boundary (CrashBoundaries) and checks each durable state: the
 // consistent-cut criterion always, and — when rec is non-nil — a hardened
-// recovery walk over the reconstructed image. Images are advanced
-// incrementally through one cursor rather than rebuilt per instant, so
-// the sweep stays linear in persists + boundaries. The machine must have
-// been built with Config.TrackHB.
+// recovery walk over the reconstructed image. See SweepCrash for the
+// cost model. The machine must have been built with Config.TrackHB.
 func SweepCrashBoundaries(m *Machine, rec Recoverable) (*SweepReport, error) {
 	return SweepCrash(m, SweepOpts{Rec: rec, Workers: 1})
 }
@@ -326,14 +336,26 @@ type SweepOpts struct {
 // SweepCrash crashes machine m at every durable-state boundary and
 // checks each durable state: the consistent-cut criterion always, a
 // hardened recovery walk when o.Rec is set, and durable linearizability
-// when o.Hist is set too. The sorted boundary list is split into
-// contiguous ranges; each worker owns a private image cursor it advances
-// from its range's start, so the incremental-image optimization survives
-// the split. The merged report is identical to the serial sweep's at any
-// worker count: counts are sums over disjoint ranges, and every
-// first-hit (FirstRP, FirstDirty, FirstDLin) comes from the globally
-// first boundary — the lowest index across chunks — not from whichever
-// worker finished first. The machine is shared read-only (the HB
+// when o.Hist is set too.
+//
+// The cost follows changes of the durable state, not the boundary count.
+// The consistent-cut verdicts for every boundary come from one
+// Tracker.CutViolations pass over the execution's writes. Images are
+// advanced incrementally through a cursor rather than rebuilt per
+// instant, and a recovery walk runs only where the cursor reports the
+// image may have changed: every other boundary reuses the previous
+// boundary's report, so a sweep walks once per image change (plus once
+// at the start of each worker's range). Every boundary is still counted,
+// reported to the observer and checked for durable linearizability,
+// whose instant-dependent classification runs at every boundary.
+//
+// The sorted boundary list is split into contiguous ranges; each worker
+// owns a private image cursor it advances from its range's start, so the
+// incremental-image optimization survives the split. The merged report
+// is identical to the serial sweep's at any worker count: counts are
+// sums over disjoint ranges, and every first-hit (FirstRP, FirstDirty,
+// FirstDLin) comes from the globally first boundary — the lowest index
+// across chunks — not from whichever worker finished first. The machine is shared read-only (the HB
 // tracker, persist log and fault plane are immutable once the run ends;
 // observer counters are atomic). The machine must have been built with
 // Config.TrackHB.
@@ -378,8 +400,9 @@ func SweepCrash(m *Machine, o SweepOpts) (*SweepReport, error) {
 			ranges = append(ranges, [2]int{lo, hi})
 		}
 	}
+	rp, arp := tr.CutViolations(bounds)
 	chunks, _ := exp.Map(context.Background(), workers, len(ranges), func(i int) (sweepChunk, error) {
-		return sweepRange(m, rec, ck, bounds, ranges[i][0], ranges[i][1]), nil
+		return sweepRange(m, rec, ck, bounds, rp, arp, ranges[i][0], ranges[i][1]), nil
 	})
 
 	firstRP, firstDirty := -1, -1
@@ -436,8 +459,9 @@ type sweepChunk struct {
 	dlinViol                          []DLinFinding
 }
 
-func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, bounds []Time, lo, hi int) sweepChunk {
-	tr := m.Tracker()
+// sweepRange checks boundaries [lo, hi); rp and arp are the sweep's
+// CutViolations verdicts, indexed like bounds.
+func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, bounds []Time, rp, arp []bool, lo, hi int) sweepChunk {
 	c := sweepChunk{firstRP: -1, firstDirty: -1}
 	// Each worker owns a private Pass over the shared checker: boundary
 	// ranges are ascending, so the Pass's replayed-prefix cache behaves
@@ -459,28 +483,35 @@ func sweepRange(m *Machine, rec Recoverable, ck *dlin.Checker, bounds []Time, lo
 			cur = m.NVM().NewCursor(nil)
 		}
 	}
+	// r is the walk of the latest image; it stands for every following
+	// boundary whose cursor reports no change.
+	var r *RecoveryReport
 	for i := lo; i < hi; i++ {
 		at := bounds[i]
-		if v := tr.CheckCut(at, model.RP); len(v) > 0 {
+		if rp[i] {
 			c.rpBad++
 			if c.firstRP < 0 {
 				c.firstRP = i
 			}
 		}
-		if v := tr.CheckCut(at, model.ARP); len(v) > 0 {
+		if arp[i] {
 			c.arpBad++
 		}
 		if rec == nil {
 			continue
 		}
 		var img *Image
+		var changed bool
 		if mcur != nil {
-			mcur.ApplyTo(mimg, at)
+			changed = mcur.ApplyTo(mimg, at)
 			img = mimg
 		} else {
 			img = cur.AdvanceTo(at)
+			changed = cur.Changed()
 		}
-		r := rec.Recover(img)
+		if r == nil || changed {
+			r = rec.Recover(img)
+		}
 		c.walksRun++
 		if !r.Clean() {
 			c.dirtyWalks++

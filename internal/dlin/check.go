@@ -2,6 +2,7 @@ package dlin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lrp/internal/engine"
@@ -121,6 +122,14 @@ type Pass struct {
 	set       map[uint64]uint64
 	queue     []uint64
 	replayBad []Violation // replay-order inconsistencies of the cached prefix
+
+	// Mismatch cache: diffKeys are the keys, sorted, on which the
+	// expected set of prefix diffCount and the recovered set of diffRep
+	// disagree. A sweep hands in the same report for every boundary
+	// whose image did not change, so both halves of the key repeat.
+	diffCount int
+	diffRep   *recovery.Report
+	diffKeys  []uint64
 }
 
 // inPrefix reports whether update i is in the cached durable prefix.
@@ -255,26 +264,45 @@ func timeStr(t engine.Time) string {
 	return fmt.Sprintf("%d", t)
 }
 
-// compareSet diffs the expected keyed-set contents against the recovery
-// walk's, in sorted key order.
-func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) []Violation {
+// mismatches returns, sorted, the keys on which the cached expected set
+// and rep's recovered set disagree. Only those keys can yield findings,
+// so the agreeing bulk of both sets is never sorted.
+func (p *Pass) mismatches(rep *recovery.Report) []uint64 {
+	if rep == p.diffRep && p.lastCount == p.diffCount {
+		return p.diffKeys
+	}
 	var got map[uint64]uint64
 	if rep.Set != nil {
 		got = rep.Set.Members
 	}
-	var keys []uint64
-	for k := range p.set { // maprange:ok — keys are sorted below before any output
-		keys = append(keys, k)
+	keys := p.diffKeys[:0]
+	for k, want := range p.set { // maprange:ok — keys are sorted below before any output
+		if have, ok := got[k]; !ok || have != want {
+			keys = append(keys, k)
+		}
 	}
 	for k := range got { // maprange:ok — keys are sorted below before any output
 		if _, ok := p.set[k]; !ok {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
+	p.diffCount, p.diffRep, p.diffKeys = p.lastCount, rep, keys
+	return keys
+}
+
+// compareSet diffs the expected keyed-set contents against the recovery
+// walk's, in sorted key order. The mismatching keys depend only on the
+// durable prefix and the report; whether a missing key is a finding
+// depends on the instant, so that part runs on every call.
+func (p *Pass) compareSet(at engine.Time, rep *recovery.Report) []Violation {
+	var got map[uint64]uint64
+	if rep.Set != nil {
+		got = rep.Set.Members
+	}
 	c := p.c
 	var out []Violation
-	for _, k := range keys {
+	for _, k := range p.mismatches(rep) {
 		want, inWant := p.set[k]
 		have, inHave := got[k]
 		switch {

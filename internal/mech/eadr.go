@@ -125,9 +125,11 @@ type eadrCursor struct {
 	i   int
 }
 
-func (c *eadrCursor) ApplyTo(img *mm.Memory, at engine.Time) {
+func (c *eadrCursor) ApplyTo(img *mm.Memory, at engine.Time) bool {
+	from := c.i
 	for c.i < len(c.log) && c.log[c.i].at <= at {
 		img.Write(c.log[c.i].addr, c.log[c.i].val)
 		c.i++
 	}
+	return c.i > from
 }

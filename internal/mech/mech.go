@@ -79,11 +79,11 @@ type Mechanism interface {
 // by itself (see Mechanism.NewCrashCursor): img starts empty and the
 // cursor is its only writer.
 type CrashCursor interface {
-	// ApplyTo writes every durable word with instant ≤ at into img.
-	// Successive calls on one cursor must use nondecreasing at values
-	// (the incremental contract nvm.Cursor also follows); a fresh cursor
-	// may start at any instant.
-	ApplyTo(img *mm.Memory, at engine.Time)
+	// ApplyTo writes every durable word with instant ≤ at into img and
+	// reports whether it wrote any. Successive calls on one cursor must
+	// use nondecreasing at values (the incremental contract nvm.Cursor
+	// also follows); a fresh cursor may start at any instant.
+	ApplyTo(img *mm.Memory, at engine.Time) bool
 }
 
 // NoCrashState is embedded by mechanisms whose durable state is fully

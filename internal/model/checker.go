@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sort"
 
 	"lrp/internal/engine"
 )
@@ -124,6 +125,76 @@ func (tr *Tracker) CheckCut(crash engine.Time, sem Semantics) []Violation {
 		}
 	}
 	return out
+}
+
+// CutViolations decides, for every crash instant in bounds (sorted
+// ascending), whether CheckCut would report a violation there under RP
+// and under the ARP-rule: rp[i] == (len(CheckCut(bounds[i], RP)) > 0),
+// and likewise arp[i]. It answers every instant from one pass over the
+// writes instead of one pass per instant. A persisted write w violates
+// the cut at crash c iff w is durable (persistedAt <= c) while some
+// predecessor the rules order it after is not — i.e. iff c falls in
+// [persistedAt(w), need(w)), where need(w) is the latest persist time
+// among those predecessors. Because each thread's contribution to that
+// set is a program-order prefix (the release-granularity argument in the
+// package comment), need(w) is a handful of prefix-maximum lookups, and
+// each violating write marks one interval of instants in a difference
+// array.
+func (tr *Tracker) CutViolations(bounds []engine.Time) (rp, arp []bool) {
+	maxTo := tr.NewHBNeed().maxTo
+	dRP := make([]int, len(bounds)+1)
+	dARP := make([]int, len(bounds)+1)
+	mark := func(d []int, from, to engine.Time) {
+		if to <= from {
+			return
+		}
+		lo := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= from })
+		hi := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= to })
+		if lo < hi {
+			d[lo]++
+			d[hi]--
+		}
+	}
+	for i := range tr.threads {
+		ts := &tr.threads[i]
+		for s := uint64(1); s <= ts.seq; s++ {
+			rec := &ts.writes[s-1]
+			// A write that never persisted violates no cut; a predecessor
+			// that never persisted (need = Infinity) leaves the write's
+			// interval open up to, not including, Infinity itself, where
+			// CheckCut counts every write as persisted.
+			if rec.persistedAt == engine.Infinity {
+				continue
+			}
+			var needRP, needARP engine.Time
+			if rec.relIdx != 0 {
+				needRP = maxTo[i][s-1]
+			}
+			if rec.prevSameAddr != 0 {
+				p := ts.writes[rec.prevSameAddr-1].persistedAt
+				needRP, needARP = max(needRP, p), max(needARP, p)
+			}
+			for t := range tr.threads {
+				k := rec.acq.Get(t)
+				if k == 0 {
+					continue
+				}
+				relSeq := tr.threads[t].relSeq[k-1]
+				needRP = max(needRP, maxTo[t][relSeq])
+				needARP = max(needARP, maxTo[t][relSeq-1])
+			}
+			mark(dRP, rec.persistedAt, needRP)
+			mark(dARP, rec.persistedAt, needARP)
+		}
+	}
+	rp, arp = make([]bool, len(bounds)), make([]bool, len(bounds))
+	var nRP, nARP int
+	for i := range bounds {
+		nRP += dRP[i]
+		nARP += dARP[i]
+		rp[i], arp[i] = nRP > 0, nARP > 0
+	}
+	return rp, arp
 }
 
 // PersistedCount reports how many writes had persisted by time crash,

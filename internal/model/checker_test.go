@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lrp/internal/engine"
+	"lrp/internal/isa"
 )
 
 // persistAll marks the given stamps persisted at the given time.
@@ -254,4 +255,80 @@ func TestSemanticsString(t *testing.T) {
 	if v.String() == "" || (Stamp{0, 1}).String() == "" {
 		t.Fatal("String methods broken")
 	}
+}
+
+// randomTracker builds a tracker from a random mix of plain writes,
+// releases and acquires over a few addresses (so same-address chains and
+// cross-thread synchronization are common), then persists each write at a
+// random time — some at shared instants, some never.
+func randomTracker(r *engine.Rand) *Tracker {
+	n := 1 + r.Intn(4)
+	tr := NewTracker(n)
+	var stamps []Stamp
+	for op := 0; op < 5+r.Intn(60); op++ {
+		tid, addr := r.Intn(n), isa.Addr(0x40*(1+r.Intn(6)))
+		switch r.Intn(3) {
+		case 0:
+			stamps = append(stamps, tr.OnWrite(tid, addr))
+		case 1:
+			stamps = append(stamps, tr.OnRelease(tid, addr))
+		default:
+			tr.OnAcquire(tid, addr)
+		}
+	}
+	for _, s := range stamps {
+		if r.Intn(8) != 0 {
+			tr.SetPersisted(s, engine.Time(1+r.Intn(40)))
+		}
+	}
+	return tr
+}
+
+// TestCutViolationsMatchesCheckCut is the differential oracle for the
+// one-pass sweep check: on random trackers, CutViolations must agree with
+// a per-instant CheckCut at every instant, under both semantics.
+func TestCutViolationsMatchesCheckCut(t *testing.T) {
+	r := engine.NewRand(11)
+	var seen [2][2]int // [sem][violated]
+	differ := 0        // instants where only RP is violated
+	for trial := 0; trial < 400; trial++ {
+		tr := randomTracker(r)
+		var bounds []engine.Time
+		for at := engine.Time(0); at <= 42; at += engine.Time(1 + r.Intn(2)) {
+			bounds = append(bounds, at)
+		}
+		if trial%2 == 0 {
+			bounds = append(bounds, engine.Infinity)
+		}
+		rp, arp := tr.CutViolations(bounds)
+		for i, at := range bounds {
+			if rp[i] != arp[i] {
+				differ++
+			}
+			for si, c := range []struct {
+				sem Semantics
+				got bool
+			}{{RP, rp[i]}, {ARP, arp[i]}} {
+				want := len(tr.CheckCut(at, c.sem)) > 0
+				if c.got != want {
+					t.Fatalf("trial %d, t=%d, %v: CutViolations=%v, CheckCut=%v", trial, at, c.sem, c.got, want)
+				}
+				if want {
+					seen[si][1]++
+				} else {
+					seen[si][0]++
+				}
+			}
+		}
+	}
+	for si, sem := range []Semantics{RP, ARP} {
+		if seen[si][0] == 0 || seen[si][1] == 0 {
+			t.Fatalf("%v: random trackers never produced both outcomes (%v)", sem, seen[si])
+		}
+	}
+	if differ == 0 {
+		t.Fatal("random trackers never separated RP from the ARP-rule")
+	}
+	t.Logf("violated instants: RP %d/%d, ARP %d/%d; RP-only %d",
+		seen[0][1], seen[0][0]+seen[0][1], seen[1][1], seen[1][0]+seen[1][1], differ)
 }

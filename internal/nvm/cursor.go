@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -18,11 +19,14 @@ import (
 //
 // The image returned by AdvanceTo aliases the cursor's working memory: it
 // is valid until the next AdvanceTo call. Callers that need a snapshot
-// must Clone it.
+// must Clone it. Changed tells them whether the last advance may have
+// altered the image, so work derived from an unchanged image can be
+// reused.
 type Cursor struct {
-	sub *Subsystem
-	img *mm.Memory
-	at  engine.Time
+	sub     *Subsystem
+	img     *mm.Memory
+	at      engine.Time
+	changed bool
 
 	byDone   []cursorEvent
 	byStart  []cursorEvent
@@ -31,6 +35,10 @@ type Cursor struct {
 
 	inflight []cursorEvent
 	saved    []savedWord
+	// torn lists the log positions of the persists whose tears the
+	// current overlay holds, in overlay order; prevTorn the previous
+	// instant's.
+	torn, prevTorn []int
 }
 
 type cursorEvent struct {
@@ -69,6 +77,14 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 	if crash < c.at {
 		panic("nvm: cursor must advance monotonically")
 	}
+	// The image changes when a persist completes or when the set of
+	// torn in-flight persists does. A tear's word subset is a pure
+	// function of its persist, so undoing an overlay and laying the same
+	// tears again rewrites identical words. Applied completions count
+	// even when they rewrite the values already there: the flag errs
+	// towards "changed", never the other way.
+	c.changed = false
+	c.prevTorn, c.torn = c.torn, c.prevTorn[:0]
 	// Undo the previous instant's torn overlay, newest write first, so
 	// overlapping saves restore correctly.
 	for i := len(c.saved) - 1; i >= 0; i-- {
@@ -82,6 +98,7 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 		e := c.byDone[c.nextDone].ev
 		c.img.WriteLine(e.Line, e.Words)
 		c.nextDone++
+		c.changed = true
 	}
 
 	// Track the in-flight set: started but not yet completed.
@@ -112,6 +129,7 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 			if !torn {
 				continue
 			}
+			c.torn = append(c.torn, ce.idx)
 			// Atomic: chunked sweeps advance several cursors over one
 			// subsystem concurrently.
 			atomic.AddUint64(&c.sub.stats.TornApplied, 1)
@@ -128,9 +146,15 @@ func (c *Cursor) AdvanceTo(crash engine.Time) *mm.Memory {
 			}
 		}
 	}
+	c.changed = c.changed || !slices.Equal(c.torn, c.prevTorn)
 	c.at = crash
 	return c.img
 }
+
+// Changed reports whether the last AdvanceTo may have altered the image:
+// false guarantees the image is word for word the one the call before it
+// returned. A fresh cursor reports false.
+func (c *Cursor) Changed() bool { return c.changed }
 
 // At returns the cursor's current crash instant.
 func (c *Cursor) At() engine.Time { return c.at }

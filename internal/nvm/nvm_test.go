@@ -341,3 +341,45 @@ func TestCursorNoFaultsMatchesImageAt(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorChangedIsConservative: an advance that reports no change must
+// leave the image word for word as the previous advance left it, with and
+// without torn in-flight lines — including advances that undo and relay
+// an unchanged torn overlay.
+func TestCursorChangedIsConservative(t *testing.T) {
+	for _, fc := range []fault.Config{{}, fault.EnableAll(77)} {
+		s := faultyNVM(t, fc)
+		var last engine.Time
+		for i := 0; i < 80; i++ {
+			d := s.PersistLine(engine.Time(i*9), engine.Time(i*2), isa.Addr((i%8)*isa.LineSize), words(uint64(i+1)))
+			last = max(last, d)
+		}
+		cur := s.NewCursor(nil)
+		if cur.Changed() {
+			t.Fatal("fresh cursor reports a change")
+		}
+		prev := cur.AdvanceTo(0).Clone()
+		var same, changed, sameTorn int
+		for t1 := engine.Time(1); t1 <= last+2; t1++ {
+			img := cur.AdvanceTo(t1)
+			if cur.Changed() {
+				changed++
+			} else {
+				same++
+				if len(cur.torn) > 0 {
+					sameTorn++
+				}
+				if !img.Equal(prev) {
+					t.Fatalf("faults=%v: image changed at %v but the cursor reported none", fc.Enabled(), t1)
+				}
+			}
+			prev = img.Clone()
+		}
+		if same == 0 || changed == 0 {
+			t.Fatalf("faults=%v: %d unchanged / %d changed advances — test lost its teeth", fc.Enabled(), same, changed)
+		}
+		if fc.Enabled() && sameTorn == 0 {
+			t.Fatal("no unchanged advance held a torn overlay — test lost its teeth")
+		}
+	}
+}
