@@ -37,10 +37,9 @@ func BenchmarkScanDirty(b *testing.B) {
 // BenchmarkSchedulerGrant measures the scheduler's worst case: two
 // threads in near-lockstep on one shared line, so virtually every
 // operation crosses the run-ahead horizon and costs a full grant —
-// leaderboard pop/push plus the park/unpark goroutine switches.
-// ReportAllocs pins that steady-state grants allocate nothing beyond the
-// two goroutine launches per Run (TestSchedulerGrantAllocs asserts the
-// exact budget).
+// leaderboard pop/push plus the two coroutine switches. ReportAllocs
+// pins that steady-state grants allocate nothing: threads run on pooled
+// coroutines (TestSchedulerGrantAllocs asserts the budget).
 func BenchmarkSchedulerGrant(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false // stamp capture allocates per write; measure the kernel
@@ -67,7 +66,7 @@ func BenchmarkSchedulerGrant(b *testing.B) {
 
 // BenchmarkSchedulerRunAhead is the scheduler's best case: a single
 // thread, infinite horizon, every operation admitted on the fast path
-// with no goroutine switch.
+// with no coroutine switch.
 func BenchmarkSchedulerRunAhead(b *testing.B) {
 	cfg := TestConfig(2).WithMechanism(persist.NOP)
 	cfg.TrackHB = false

@@ -7,22 +7,24 @@ import (
 	"lrp/internal/perf"
 )
 
-// Program is the body of one simulated hardware thread. It runs as a
-// coroutine under the event-driven kernel in sched.go: every Ctx memory
-// operation checks the thread's clock against the grant's run-ahead
-// horizon before performing, parking back into the scheduler only when
-// another thread's clock has become smaller, so memory operations execute
-// in global virtual-time order.
+// Program is the body of one simulated hardware thread. It runs on a
+// pooled runtime coroutine driven by the event-driven kernel in sched.go:
+// every Ctx memory operation checks the thread's clock against the
+// grant's run-ahead horizon before performing, yielding back to Run's
+// loop only when another thread's clock has become smaller, so memory
+// operations execute in global virtual-time order.
 type Program func(ctx *Ctx)
 
 // Ctx is a thread's handle to the simulated machine. It is valid only
-// inside the Program invocation it was created for, and only on that
-// program's goroutine.
+// inside the Program invocation it was passed to, and only on that
+// program's coroutine.
 type Ctx struct {
 	sys *System
 	tid int
 
-	resume chan struct{}
+	// co is the coroutine running this thread's program during a Run;
+	// nil before its first grant and after it finishes.
+	co *coro
 }
 
 // ThreadID returns the hardware thread id.
@@ -51,11 +53,10 @@ func (c *Ctx) Work(n engine.Time) { c.sys.advance(c.tid, n) }
 // Fast path: while the thread's (clock, tid) orders before the grant's
 // run-ahead horizon — the runner-up thread published by the scheduler —
 // a rerun of the scheduler would only grant this thread again, so it
-// keeps executing with no goroutine switch at all. Only when the horizon
-// is crossed does the thread park: it re-enrolls itself at its new clock,
-// grants the new minimum directly (one goroutine switch, no bounce
-// through a central scheduler goroutine), and blocks until a later grant
-// hands the machine back.
+// keeps executing with no switch at all. Only when the horizon is crossed
+// does the thread park: it re-enrolls itself at its new clock and yields
+// its coroutine back to Run's loop, which grants the new minimum; the
+// yield returns when a later grant resumes this thread.
 func (c *Ctx) handoff() {
 	s := c.sys
 	k := &s.sched
@@ -65,14 +66,12 @@ func (c *Ctx) handoff() {
 		return
 	}
 	// The grant condition failed, so some other live thread orders before
-	// us — the leaderboard is non-empty and the pop below cannot return
-	// this thread again.
+	// us — Run's next pop cannot return this thread again.
 	if s.perf != nil {
 		s.perf.Start(perf.PhaseScheduler)
 	}
 	k.lb.Push(c.tid, cl)
-	k.grantNext()
-	<-c.resume
+	c.co.yield(false)
 	if s.perf != nil {
 		s.perf.End()
 	}
